@@ -1,7 +1,9 @@
 //! Reproducibility: a single `u64` seed pins down every experiment
 //! bit-for-bit, across both simulators and all algorithms.
 
+use rom::chaos::{InvariantRegistry, Scenario};
 use rom::engine::{AlgorithmKind, ChurnConfig, ChurnSim, StreamingConfig, StreamingSim};
+use rom::obs::{fnv1a, JsonlSink, Obs, SharedBuffer, Tracer};
 
 fn quick(algorithm: AlgorithmKind, seed: u64) -> ChurnConfig {
     let mut cfg = ChurnConfig::quick(algorithm, 250);
@@ -31,6 +33,97 @@ fn churn_reports_are_bitwise_reproducible() {
         assert_eq!(a.evictions, b.evictions, "{algorithm}");
         assert_eq!(a.disruption_counts, b.disruption_counts, "{algorithm}");
     }
+}
+
+/// The three ways to run a simulator: plain, with a tracing pipeline, and
+/// with every invariant armed.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    Plain,
+    Traced,
+    Checked,
+}
+
+const MODES: [Mode; 3] = [Mode::Plain, Mode::Traced, Mode::Checked];
+
+fn tracing_obs() -> Obs {
+    Obs::new(Tracer::to_sink(Box::new(JsonlSink::new(SharedBuffer::new()))))
+}
+
+fn digest(report: &impl std::fmt::Debug) -> u64 {
+    fnv1a(format!("{report:?}").as_bytes())
+}
+
+fn churn_digest(cfg: ChurnConfig, mode: Mode) -> u64 {
+    let sim = ChurnSim::new(cfg);
+    match mode {
+        Mode::Plain => digest(&sim.run()),
+        Mode::Traced => digest(&sim.run_with_obs(tracing_obs()).0),
+        Mode::Checked => {
+            digest(&sim.run_checked(InvariantRegistry::with_all(), Obs::disabled()).0)
+        }
+    }
+}
+
+fn streaming_digest(cfg: StreamingConfig, mode: Mode) -> u64 {
+    let sim = StreamingSim::new(cfg);
+    match mode {
+        Mode::Plain => digest(&sim.run()),
+        Mode::Traced => digest(&sim.run_with_obs(tracing_obs()).0),
+        Mode::Checked => {
+            digest(&sim.run_checked(InvariantRegistry::with_all(), Obs::disabled()).0)
+        }
+    }
+}
+
+/// Report digests pinned across commits: a refactor of the run paths must
+/// reproduce these bytes through every run method, not just agree with
+/// itself within one build. Never edit these constants to make a change
+/// pass; a changed digest is a changed simulation.
+const CHURN_GOLDEN: [(AlgorithmKind, u64); 5] = [
+    (AlgorithmKind::MinimumDepth, 0x95035ee8fffd6370),
+    (AlgorithmKind::RelaxedBandwidthOrdered, 0xf25cf7f0d0ed4e77),
+    (AlgorithmKind::LongestFirst, 0x2076f4c5cdb8fc7c),
+    (AlgorithmKind::RelaxedTimeOrdered, 0x201c24c01c2f97fb),
+    (AlgorithmKind::Rost, 0xf1669e67a84dcc0e),
+];
+const STREAMING_GOLDEN: u64 = 0x63e5c8e9ebcf5dc4;
+const FLASH_CROWD_GOLDEN: u64 = 0x1f0370a179016bb8;
+
+#[test]
+fn churn_report_digests_match_golden_through_every_run_method() {
+    assert_eq!(CHURN_GOLDEN.map(|(a, _)| a), AlgorithmKind::ALL);
+    let mut mismatches = Vec::new();
+    for (algorithm, golden) in CHURN_GOLDEN {
+        for mode in MODES {
+            let got = churn_digest(quick(algorithm, 7), mode);
+            if got != golden {
+                mismatches.push(format!("{algorithm} {mode:?}: {got:#018x}"));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+#[test]
+fn streaming_report_digests_match_golden_through_every_run_method() {
+    let flash_crowd = || {
+        let mut churn = quick(AlgorithmKind::Rost, 3);
+        churn.chaos = Scenario::by_name("flash-crowd", 180.0, 300.0);
+        StreamingConfig::paper(churn, 2)
+    };
+    let mut mismatches = Vec::new();
+    for mode in MODES {
+        let got = streaming_digest(StreamingConfig::paper(quick(AlgorithmKind::Rost, 2), 2), mode);
+        if got != STREAMING_GOLDEN {
+            mismatches.push(format!("streaming {mode:?}: {got:#018x}"));
+        }
+        let got = streaming_digest(flash_crowd(), mode);
+        if got != FLASH_CROWD_GOLDEN {
+            mismatches.push(format!("flash-crowd {mode:?}: {got:#018x}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
 }
 
 #[test]
