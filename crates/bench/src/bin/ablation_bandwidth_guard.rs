@@ -7,7 +7,7 @@
 //! switching overhead rises and the tree loses bandwidth ordering (taller,
 //! slower), for no reliability gain.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     );
     for (name, guard) in [("guarded (paper)", true), ("unguarded", false)] {
         // --trace/--profile capture the paper (guarded) variant.
-        let reports = replicate_churn_traced(
+        let reports = replicate(
             "ablation_a2_guarded",
             |seed| {
                 let mut cfg = churn_config(AlgorithmKind::Rost, size, seed);

@@ -5,7 +5,7 @@
 //! fraction to show how cooperative departures shrink the problem ROST
 //! solves — and that ROST still wins on whatever abrupt remainder exists.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         // --trace/--profile capture the all-abrupt ROST point (the
         // paper's extreme case).
         let run = |alg: AlgorithmKind| {
-            replicate_churn_traced(
+            replicate(
                 "ablation_a3_abrupt_rost",
                 |seed| {
                     let mut cfg = churn_config(alg, size, seed);

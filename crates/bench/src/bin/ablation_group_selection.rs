@@ -7,7 +7,7 @@
 //! for uniform random selection at equal group sizes, keeping everything
 //! else fixed.
 
-use rom_bench::{banner, fmt, mean_over, replicate_streaming_traced, row, Scale};
+use rom_bench::{banner, fmt, mean_over, replicate, row, Scale};
 use rom_engine::{AlgorithmKind, ChurnConfig, GroupSelection, StreamingConfig};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     for k in 1..=4usize {
         // --trace/--profile capture the MLC K=1 cell.
         let run = |selection: GroupSelection| {
-            replicate_streaming_traced(
+            replicate(
                 "ablation_a1_mlc_k1",
                 |seed| {
                     let mut cfg = StreamingConfig::paper(

@@ -5,7 +5,7 @@
 //! most size-sensitive; relaxed BO better; relaxed TO better still; ROST
 //! lowest, 36–57% below relaxed BO, and much less size-sensitive.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         for alg in AlgorithmKind::ALL {
             // --trace/--profile capture the smallest ROST point
             // (smallest artifacts).
-            let reports = replicate_churn_traced(
+            let reports = replicate(
                 "fig04_rost_smallest",
                 |seed| churn_config(alg, size, seed),
                 scale,

@@ -4,7 +4,7 @@
 //! Expected shape: ROST's CDF dominates (shifted left — most members see
 //! few disruptions); min-depth/longest-first have long right tails.
 
-use rom_bench::{banner, churn_config, fmt, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 use rom_stats::Ecdf;
 
@@ -23,7 +23,7 @@ fn main() {
     let cdfs: Vec<(AlgorithmKind, Ecdf)> = AlgorithmKind::ALL
         .into_iter()
         .map(|alg| {
-            let reports = replicate_churn_traced(
+            let reports = replicate(
                 "fig05_rost_focus",
                 |seed| churn_config(alg, size, seed),
                 scale,

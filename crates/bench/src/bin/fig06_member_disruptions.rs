@@ -6,7 +6,7 @@
 //! constant slope.
 
 use rom_bench::{
-    banner, churn_config, fmt, instrumented_churn_cell, row, write_sidecars, CellOut, Scale,
+    banner, churn_config, fmt, instrumented_cell, row, write_sidecars, CellOut, Scale,
 };
 use rom_engine::{AlgorithmKind, ObserverSpec};
 
@@ -35,7 +35,7 @@ fn main() {
             bandwidth: 2.0,
             lifetime_secs: horizon_min * 60.0 + 600.0,
         });
-        let (report, trace, profile) = instrumented_churn_cell(
+        let (report, trace, profile) = instrumented_cell(
             "fig06_rost_observer",
             cfg,
             cell.seed,

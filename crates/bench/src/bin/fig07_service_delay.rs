@@ -4,7 +4,7 @@
 //! of the three distributed algorithms; centralized relaxed-BO the global
 //! best with ROST within tens of percent.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         let mut cells = vec![size.to_string()];
         for alg in AlgorithmKind::ALL {
             // --trace/--profile capture the smallest ROST point.
-            let reports = replicate_churn_traced(
+            let reports = replicate(
                 "fig07_rost_smallest",
                 |seed| churn_config(alg, size, seed),
                 scale,

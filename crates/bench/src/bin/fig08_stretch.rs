@@ -1,7 +1,7 @@
 //! Figure 8: average network stretch (overlay delay / unicast delay) vs
 //! network size. Same expected ordering as Figure 7.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         let mut cells = vec![size.to_string()];
         for alg in AlgorithmKind::ALL {
             // --trace/--profile capture the smallest ROST point.
-            let reports = replicate_churn_traced(
+            let reports = replicate(
                 "fig08_rost_smallest",
                 |seed| churn_config(alg, size, seed),
                 scale,

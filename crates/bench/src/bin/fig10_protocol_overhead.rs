@@ -5,7 +5,7 @@
 //! BO/TO substantial (evictions); ROST far below one reconnection per
 //! lifetime.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         let mut cells = vec![size.to_string()];
         for alg in AlgorithmKind::ALL {
             // --trace/--profile capture the smallest ROST point.
-            let reports = replicate_churn_traced(
+            let reports = replicate(
                 "fig10_rost_smallest",
                 |seed| churn_config(alg, size, seed),
                 scale,

@@ -6,7 +6,7 @@
 //! stretch at a modest overhead cost (≤ ~0.15 reconnections per lifetime
 //! even at the smallest interval).
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     for interval in [480.0f64, 960.0, 1200.0, 1800.0] {
         // --trace/--profile capture the shortest-interval point (the
         // most switching activity).
-        let reports = replicate_churn_traced(
+        let reports = replicate(
             "fig11_interval_480",
             |seed| {
                 let mut cfg = churn_config(AlgorithmKind::Rost, size, seed);

@@ -4,7 +4,7 @@
 //! Expected shape: a small increase in group size cuts the starving ratio
 //! dramatically — group size 3 roughly an order of magnitude below size 1.
 
-use rom_bench::{banner, fmt, mean_over, replicate_streaming_traced, row, Scale};
+use rom_bench::{banner, fmt, mean_over, replicate, row, Scale};
 use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
         for k in 1..=4usize {
             // --trace/--profile capture the smallest K=1 point (smallest
             // artifacts).
-            let reports = replicate_streaming_traced(
+            let reports = replicate(
                 "fig12_k1_smallest",
                 |seed| {
                     StreamingConfig::paper(

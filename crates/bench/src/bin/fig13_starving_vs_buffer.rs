@@ -4,7 +4,7 @@
 //! Expected shape: larger buffers help, but adding one recovery node is
 //! worth tens of seconds of buffer (K=2 at 5 s ≈ K=1 at ~27 s).
 
-use rom_bench::{banner, fmt, mean_over, replicate_streaming_traced, row, Scale};
+use rom_bench::{banner, fmt, mean_over, replicate, row, Scale};
 use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         for k in 1..=3usize {
             // --trace/--profile capture the hardest cell: the smallest
             // buffer with a single recovery source.
-            let reports = replicate_streaming_traced(
+            let reports = replicate(
                 "fig13_buffer5_k1",
                 |seed| {
                     let mut cfg = StreamingConfig::paper(

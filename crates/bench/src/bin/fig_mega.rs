@@ -19,7 +19,7 @@
 //! span profile of the **largest** cell (the one whose hotspots matter
 //! at scale) — profiling never perturbs stdout.
 
-use rom_bench::{calibration_spin_ns, instrumented_churn_cell, Sidecars};
+use rom_bench::{calibration_spin_ns, instrumented_cell, Sidecars};
 use rom_engine::{AlgorithmKind, ChurnConfig, ChurnSim};
 use std::time::Instant;
 
@@ -57,7 +57,7 @@ fn parse_args() -> Args {
                 let list = args.next().unwrap_or_else(|| usage());
                 parsed.sizes = list
                     .split(',')
-                    .map(|v| v.parse().unwrap_or_else(|_| usage()))
+                    .map(|v| v.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| usage()))
                     .collect();
                 if parsed.sizes.is_empty() {
                     usage()
@@ -106,8 +106,7 @@ fn main() {
                 // leak per process invocation.
                 profile: Some(Box::leak(path.to_string().into_boxed_str())),
             };
-            let (report, _, profile) =
-                instrumented_churn_cell("fig_mega", cfg, args.seed, sidecars);
+            let (report, _, profile) = instrumented_cell("fig_mega", cfg, args.seed, sidecars);
             if let Some(json) = profile {
                 if let Err(err) = std::fs::write(path, json) {
                     eprintln!("error: cannot write {path}: {err}");

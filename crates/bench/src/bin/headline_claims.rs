@@ -17,7 +17,7 @@
 //! across runs and `--jobs` values.
 
 use rom_bench::{
-    banner, calibration_spin_ns, churn_config, fmt, instrumented_churn_cell, mean_over, row,
+    banner, calibration_spin_ns, churn_config, fmt, instrumented_cell, mean_over, row,
     truncation_warning, write_sidecars, CellOut, Scale,
 };
 use rom_engine::{AlgorithmKind, ChurnReport};
@@ -49,7 +49,7 @@ fn main() {
         let started = Instant::now();
         let out = scale.sweep().run(1, scale.seeds, |cell| {
             let cfg = churn_config(alg, size, cell.seed);
-            let (report, trace, profile) = instrumented_churn_cell(
+            let (report, trace, profile) = instrumented_cell(
                 "headline_claims_rost",
                 cfg,
                 cell.seed,

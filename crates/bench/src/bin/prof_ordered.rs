@@ -5,7 +5,7 @@
 //! indices that span was the sweep's dominant cost — an O(M) layer scan
 //! per placement. Not a paper figure; a perf-observability bin.
 
-use rom_bench::{banner, churn_config, fmt, mean_over, replicate_churn_traced, row, Scale};
+use rom_bench::{banner, churn_config, fmt, mean_over, replicate, row, Scale};
 use rom_engine::AlgorithmKind;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         ])
     );
     let size = scale.focus_size();
-    let reports = replicate_churn_traced(
+    let reports = replicate(
         "prof_relaxed_bw",
         |seed| churn_config(AlgorithmKind::RelaxedBandwidthOrdered, size, seed),
         scale,

@@ -35,8 +35,7 @@ pub use sweep::{CellId, CellOut, CellTrace, Sweep, SweepOutput};
 use rom_engine::{AlgorithmKind, ChurnConfig, ChurnSim, StreamingConfig, StreamingSim};
 use rom_engine::{ChurnReport, StreamingReport};
 use rom_obs::{
-    fnv1a, HealthHandle, HealthSink, JsonlSink, MetricsSnapshot, Obs, Prof, RunManifest,
-    SharedBuffer, Tracer,
+    fnv1a, HealthHandle, HealthSink, JsonlSink, Obs, Prof, RunManifest, SharedBuffer, Tracer,
 };
 use rom_sim::RunOutcome;
 use rom_stats::Summary;
@@ -61,9 +60,9 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Parses `--paper`, `--seeds N`, `--jobs N` and `--trace PATH` from
-    /// the process arguments. Unknown arguments abort with a usage
-    /// message.
+    /// Parses `--paper`, `--seeds N`, `--jobs N`, `--trace PATH` and
+    /// `--profile PATH` from the process arguments. Unknown arguments and
+    /// a zero `--seeds` or `--jobs` abort with a usage message (exit 2).
     #[must_use]
     pub fn from_args() -> Self {
         let mut scale = Scale {
@@ -78,9 +77,10 @@ impl Scale {
             match arg.as_str() {
                 "--paper" => scale.paper = true,
                 "--seeds" => {
-                    let n = args
+                    let n: u64 = args
                         .next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
                         .unwrap_or_else(|| usage());
                     scale.seeds = n;
                 }
@@ -114,8 +114,7 @@ impl Scale {
     }
 
     /// The sidecar requests (`--trace`/`--profile`) of this invocation,
-    /// for handing to [`replicate_churn_traced`] /
-    /// [`replicate_streaming_traced`] or an [`instrumented_churn_cell`].
+    /// for handing to [`replicate`] or an [`instrumented_cell`].
     #[must_use]
     pub fn sidecars(self) -> Sidecars {
         Sidecars {
@@ -236,72 +235,66 @@ pub fn churn_config(algorithm: AlgorithmKind, size: usize, seed: u64) -> ChurnCo
     ChurnConfig::paper(algorithm, size).with_seed(seed)
 }
 
-/// Runs one churn configuration per seed (in parallel over
-/// `scale.jobs` workers) and returns the reports in seed order.
-#[must_use]
-pub fn replicate_churn(
-    make: impl Fn(u64) -> ChurnConfig + Sync,
-    scale: Scale,
-) -> Vec<ChurnReport> {
-    replicate_churn_traced("churn", make, scale, Sidecars::none())
+/// A simulator configuration the replicate and cell helpers can run:
+/// implemented for [`ChurnConfig`] and [`StreamingConfig`], so one helper
+/// serves both the tree experiments and the streaming ones.
+pub trait CellConfig: std::fmt::Debug {
+    /// The report one run produces.
+    type Report: Send;
+    /// Builds the simulator and runs it with `obs` installed.
+    fn run_with_obs(self, obs: Obs) -> (Self::Report, Obs);
+    /// Events the run dispatched.
+    fn events_processed(report: &Self::Report) -> u64;
+    /// How the run's event loop stopped.
+    fn outcome(report: &Self::Report) -> RunOutcome;
 }
 
-/// Runs one streaming configuration per seed (in parallel over
-/// `scale.jobs` workers) and returns the reports in seed order.
-#[must_use]
-pub fn replicate_streaming(
-    make: impl Fn(u64) -> StreamingConfig + Sync,
-    scale: Scale,
-) -> Vec<StreamingReport> {
-    replicate_streaming_traced("streaming", make, scale, Sidecars::none())
+impl CellConfig for ChurnConfig {
+    type Report = ChurnReport;
+    fn run_with_obs(self, obs: Obs) -> (ChurnReport, Obs) {
+        ChurnSim::new(self).run_with_obs(obs)
+    }
+    fn events_processed(report: &ChurnReport) -> u64 {
+        report.events_processed
+    }
+    fn outcome(report: &ChurnReport) -> RunOutcome {
+        report.outcome
+    }
 }
 
-/// Like [`replicate_churn`], but instruments the seed-1 run with the
-/// requested sidecars: the merged trace JSONL lands at `sidecars.trace`
-/// with its aggregate manifest, metrics and health siblings (see
-/// [`SweepOutput::write_trace`]), and the span profile at
-/// `sidecars.profile` (see [`SweepOutput::write_profile`]). `name`
-/// labels the run in its manifest and profile.
+impl CellConfig for StreamingConfig {
+    type Report = StreamingReport;
+    fn run_with_obs(self, obs: Obs) -> (StreamingReport, Obs) {
+        StreamingSim::new(self).run_with_obs(obs)
+    }
+    fn events_processed(report: &StreamingReport) -> u64 {
+        report.events_processed()
+    }
+    fn outcome(report: &StreamingReport) -> RunOutcome {
+        report.outcome()
+    }
+}
+
+/// Runs one configuration per seed (in parallel over `scale.jobs`
+/// workers) and returns the reports in seed order. The seed-1 run is
+/// instrumented with the requested sidecars: the merged trace JSONL lands
+/// at `sidecars.trace` with its aggregate manifest, metrics and health
+/// siblings (see [`SweepOutput::write_trace`]), and the span profile at
+/// `sidecars.profile` (see [`SweepOutput::write_profile`]). `name` labels
+/// the run in its manifest, profile and truncation warnings.
 #[must_use]
-pub fn replicate_churn_traced(
+pub fn replicate<C: CellConfig>(
     name: &str,
-    make: impl Fn(u64) -> ChurnConfig + Sync,
+    make: impl Fn(u64) -> C + Sync,
     scale: Scale,
     sidecars: Sidecars,
-) -> Vec<ChurnReport> {
+) -> Vec<C::Report> {
     let out = scale.sweep().run(1, scale.seeds, |cell| {
         let cfg = make(cell.seed);
         let (report, trace, profile) =
-            instrumented_churn_cell(name, cfg, cell.seed, sidecars.when(cell.seed == 1));
+            instrumented_cell(name, cfg, cell.seed, sidecars.when(cell.seed == 1));
         CellOut {
-            warnings: truncation_warning(name, cell.seed, report.outcome)
-                .into_iter()
-                .collect(),
-            report,
-            trace,
-            profile,
-        }
-    });
-    write_sidecars(&out, name, sidecars);
-    out.into_single_point()
-}
-
-/// Like [`replicate_streaming`], but instruments the seed-1 run with the
-/// requested sidecars (see [`replicate_churn_traced`]). `name` labels
-/// the run in its manifest and profile.
-#[must_use]
-pub fn replicate_streaming_traced(
-    name: &str,
-    make: impl Fn(u64) -> StreamingConfig + Sync,
-    scale: Scale,
-    sidecars: Sidecars,
-) -> Vec<StreamingReport> {
-    let out = scale.sweep().run(1, scale.seeds, |cell| {
-        let cfg = make(cell.seed);
-        let (report, trace, profile) =
-            instrumented_streaming_cell(name, cfg, cell.seed, sidecars.when(cell.seed == 1));
-        CellOut {
-            warnings: truncation_warning(name, cell.seed, report.outcome())
+            warnings: truncation_warning(name, cell.seed, C::outcome(&report))
                 .into_iter()
                 .collect(),
             report,
@@ -324,22 +317,23 @@ pub fn write_sidecars<R>(out: &SweepOutput<R>, name: &str, sidecars: Sidecars) {
     }
 }
 
-/// Runs one churn configuration with the requested instrumentation and
+/// Runs one configuration with the requested instrumentation and
 /// returns the report plus the optional trace artifacts and profile
 /// JSON. With `Sidecars::none()` this is exactly the plain run — the
 /// disabled observability and profiling paths are allocation-free.
 #[must_use]
-pub fn instrumented_churn_cell(
+pub fn instrumented_cell<C: CellConfig>(
     name: &str,
-    cfg: ChurnConfig,
+    cfg: C,
     seed: u64,
     sidecars: Sidecars,
-) -> (ChurnReport, Option<CellTrace>, Option<String>) {
+) -> (C::Report, Option<CellTrace>, Option<String>) {
     let digest = fnv1a(format!("{cfg:?}").as_bytes());
     let (obs, pipe) = instrumented_obs(sidecars);
     let started = Instant::now();
-    let (report, obs) = ChurnSim::new(cfg).run_with_obs(obs);
+    let (report, obs) = cfg.run_with_obs(obs);
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let events = C::events_processed(&report);
     let trace = pipe.as_ref().map(|(buffer, health)| {
         cell_artifacts(
             name,
@@ -348,46 +342,14 @@ pub fn instrumented_churn_cell(
             &obs,
             buffer,
             health.to_jsonl(),
-            report.events_processed,
-            report.outcome,
+            events,
+            C::outcome(&report),
         )
     });
     let profile = obs
         .prof()
         .report()
-        .map(|r| r.to_json(name, seed, report.events_processed, wall_ns));
-    (report, trace, profile)
-}
-
-/// Streaming variant of [`instrumented_churn_cell`].
-#[must_use]
-pub fn instrumented_streaming_cell(
-    name: &str,
-    cfg: StreamingConfig,
-    seed: u64,
-    sidecars: Sidecars,
-) -> (StreamingReport, Option<CellTrace>, Option<String>) {
-    let digest = fnv1a(format!("{cfg:?}").as_bytes());
-    let (obs, pipe) = instrumented_obs(sidecars);
-    let started = Instant::now();
-    let (report, obs) = StreamingSim::new(cfg).run_with_obs(obs);
-    let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let trace = pipe.as_ref().map(|(buffer, health)| {
-        cell_artifacts(
-            name,
-            seed,
-            digest,
-            &obs,
-            buffer,
-            health.to_jsonl(),
-            report.events_processed(),
-            report.outcome(),
-        )
-    });
-    let profile = obs
-        .prof()
-        .report()
-        .map(|r| r.to_json(name, seed, report.events_processed(), wall_ns));
+        .map(|r| r.to_json(name, seed, events, wall_ns));
     (report, trace, profile)
 }
 
@@ -410,60 +372,6 @@ fn instrumented_obs(sidecars: Sidecars) -> (Obs, Option<(SharedBuffer, HealthHan
         Prof::disabled()
     };
     (obs.with_prof(prof), pipe)
-}
-
-/// Runs one churn configuration with a private in-memory trace pipeline
-/// and returns the report, the metrics snapshot and the cell's trace
-/// artifacts (ready for deterministic merging by the sweep engine).
-#[must_use]
-pub fn traced_churn_cell(
-    name: &str,
-    cfg: ChurnConfig,
-    seed: u64,
-) -> (ChurnReport, MetricsSnapshot, CellTrace) {
-    let digest = fnv1a(format!("{cfg:?}").as_bytes());
-    let buffer = SharedBuffer::new();
-    let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-    let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-    let (report, obs) = ChurnSim::new(cfg).run_with_obs(obs);
-    let metrics = obs.snapshot();
-    let trace = cell_artifacts(
-        name,
-        seed,
-        digest,
-        &obs,
-        &buffer,
-        health.to_jsonl(),
-        report.events_processed,
-        report.outcome,
-    );
-    (report, metrics, trace)
-}
-
-/// Streaming variant of [`traced_churn_cell`].
-#[must_use]
-pub fn traced_streaming_cell(
-    name: &str,
-    cfg: StreamingConfig,
-    seed: u64,
-) -> (StreamingReport, MetricsSnapshot, CellTrace) {
-    let digest = fnv1a(format!("{cfg:?}").as_bytes());
-    let buffer = SharedBuffer::new();
-    let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-    let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-    let (report, obs) = StreamingSim::new(cfg).run_with_obs(obs);
-    let metrics = obs.snapshot();
-    let trace = cell_artifacts(
-        name,
-        seed,
-        digest,
-        &obs,
-        &buffer,
-        health.to_jsonl(),
-        report.events_processed(),
-        report.outcome(),
-    );
-    (report, metrics, trace)
 }
 
 /// Packages one observed run's telemetry into its [`CellTrace`].

@@ -1,0 +1,34 @@
+//! Bad command-line counts fail fast with the usage exit code (2) instead
+//! of printing an all-zero figure or panicking deep in the engine.
+
+use std::process::{Command, Output};
+
+/// Runs a figure binary from a scratch directory, so nothing it might
+/// write lands in the source tree.
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin)
+        .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("figure binary starts")
+}
+
+fn assert_usage_exit(out: &Output) {
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "printed a figure: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+}
+
+#[test]
+fn zero_seeds_is_a_usage_error() {
+    let bin = env!("CARGO_BIN_EXE_fig07_service_delay");
+    assert_usage_exit(&run(bin, &["--seeds", "0"]));
+    assert_usage_exit(&run(bin, &["--jobs", "0"]));
+}
+
+#[test]
+fn zero_mega_size_is_a_usage_error() {
+    let bin = env!("CARGO_BIN_EXE_fig_mega");
+    assert_usage_exit(&run(bin, &["--sizes", "0"]));
+    assert_usage_exit(&run(bin, &["--sizes", "1000,0"]));
+}

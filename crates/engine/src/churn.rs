@@ -31,7 +31,7 @@ use rom_stats::{Summary, TimeSeries};
 
 use crate::config::{AlgorithmKind, ChurnConfig, StreamingConfig};
 use crate::proximity::OracleProximity;
-use crate::streaming::{LinkEpisode, StreamingReport, StreamingState};
+use crate::streaming::{LinkEpisode, StreamingState};
 use crate::workload::Workload;
 
 /// Events of the churn simulation.
@@ -380,7 +380,7 @@ impl ChurnSim {
     /// Runs the simulation to completion and returns the report.
     #[must_use]
     pub fn run(self) -> ChurnReport {
-        self.run_inner().0
+        self.run_inner(Obs::disabled(), None).0
     }
 
     /// Runs with the given observability pipeline installed and returns it
@@ -389,9 +389,8 @@ impl ChurnSim {
     /// gauges and histograms. Running with [`Obs::disabled`] is equivalent
     /// to [`run`](Self::run).
     #[must_use]
-    pub fn run_with_obs(mut self, obs: Obs) -> (ChurnReport, Obs) {
-        self.obs = obs;
-        let (report, _streaming, obs, _invariants) = self.run_inner();
+    pub fn run_with_obs(self, obs: Obs) -> (ChurnReport, Obs) {
+        let (report, _streaming, obs, _invariants) = self.run_inner(obs, None);
         (report, obs)
     }
 
@@ -405,83 +404,27 @@ impl ChurnSim {
     /// with everything it found — alongside the report.
     #[must_use]
     pub fn run_checked(
-        mut self,
+        self,
         registry: InvariantRegistry,
         obs: Obs,
     ) -> (ChurnReport, InvariantRegistry, Obs) {
-        self.obs = obs;
-        self.invariants = Some(registry);
-        let (report, _streaming, obs, invariants) = self.run_inner();
-        (report, invariants.unwrap_or_default(), obs)
+        let (report, _streaming, obs, invariants) = self.run_inner(obs, Some(registry));
+        (report, invariants, obs)
     }
 
-    /// Like [`run`](Self::run), but calls `inspect` with the final tree
-    /// and simulation end time before returning — for tooling that wants
-    /// to examine the converged structure.
-    pub fn run_inspect(mut self, inspect: impl FnOnce(&MulticastTree, SimTime)) -> ChurnReport {
-        let mut sim: Simulation<Event> = Simulation::new();
-        if let Some(budget) = self.cfg.max_events {
-            sim = sim.with_max_events(budget);
-        }
-        self.arm_instrumentation(&mut sim);
-        self.seed(&mut sim);
-        let horizon = self.window_end;
-        let outcome = sim.run_until(horizon, |now, event, sched| {
-            self.handle(now, event, sched);
-        });
-        self.report.outcome = outcome;
-        self.report.events_processed = sim.processed();
-        self.report.queue_high_water = sim.queue_high_water_mark() as u64;
-        self.report.queue_bytes_high_water = sim.queue_bytes_high_water();
-        inspect(&self.tree, horizon);
-        self.finish()
-    }
-
-    /// Runs with the streaming layer and returns the streaming report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulator was built without a streaming layer.
-    pub(crate) fn run_streaming(self) -> StreamingReport {
-        let (churn, streaming, _obs, _invariants) = self.run_inner();
-        streaming
-            .expect("built with new_with_streaming")
-            .into_report(churn)
-    }
-
-    /// Streaming variant of [`run_with_obs`](Self::run_with_obs).
-    pub(crate) fn run_streaming_with_obs(mut self, obs: Obs) -> (StreamingReport, Obs) {
-        self.obs = obs;
-        let (churn, streaming, obs, _invariants) = self.run_inner();
-        let report = streaming
-            .expect("built with new_with_streaming")
-            .into_report(churn);
-        (report, obs)
-    }
-
-    /// Streaming variant of [`run_checked`](Self::run_checked).
-    pub(crate) fn run_streaming_checked(
+    /// The one event loop behind every run method of both simulators:
+    /// installs `obs` and the optional invariant registry, seeds, runs to
+    /// the horizon (or the event budget), and hands back the report, the
+    /// streaming layer's state (for [`crate::StreamingSim`] to fold into
+    /// its report), the finished pipeline and the registry (empty when
+    /// none was armed).
+    pub(crate) fn run_inner(
         mut self,
-        registry: InvariantRegistry,
         obs: Obs,
-    ) -> (StreamingReport, InvariantRegistry, Obs) {
+        invariants: Option<InvariantRegistry>,
+    ) -> (ChurnReport, Option<StreamingState>, Obs, InvariantRegistry) {
         self.obs = obs;
-        self.invariants = Some(registry);
-        let (churn, streaming, obs, invariants) = self.run_inner();
-        let report = streaming
-            .expect("built with new_with_streaming")
-            .into_report(churn);
-        (report, invariants.unwrap_or_default(), obs)
-    }
-
-    fn run_inner(
-        mut self,
-    ) -> (
-        ChurnReport,
-        Option<StreamingState>,
-        Obs,
-        Option<InvariantRegistry>,
-    ) {
+        self.invariants = invariants;
         let mut sim: Simulation<Event> = Simulation::new();
         if let Some(budget) = self.cfg.max_events {
             sim = sim.with_max_events(budget);
@@ -502,7 +445,7 @@ impl ChurnSim {
         self.obs.finish();
         let streaming = self.streaming.take();
         let obs = std::mem::take(&mut self.obs);
-        let invariants = self.invariants.take();
+        let invariants = self.invariants.take().unwrap_or_default();
         (self.finish(), streaming, obs, invariants)
     }
 
@@ -860,12 +803,13 @@ impl ChurnSim {
     }
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Schedule<'_, Event>) {
+        let (span, metric) = event_names(&event);
         if self.obs.is_active() {
-            self.obs.count(event_metric_name(&event), 1);
+            self.obs.count(metric, 1);
             self.obs.observe("sim.queue_depth", sched.pending() as f64);
         }
         {
-            let _span = self.obs.prof().span(event_span_name(&event));
+            let _span = self.obs.prof().span(span);
             self.dispatch(now, event, sched);
             self.drain_rejoin_backlog(sched);
         }
@@ -1543,43 +1487,23 @@ const QUEUE_DEPTH_BUCKETS: [f64; 20] = [
     16384.0, 32768.0, 65536.0, 131072.0, 262144.0, 524288.0,
 ];
 
-/// Per-event-type dispatch span names (static so the profiling hot path
-/// never allocates).
-fn event_span_name(event: &Event) -> &'static str {
+/// Per-event-type dispatch span and counter names, static so neither the
+/// profiling nor the metrics hot path allocates.
+fn event_names(event: &Event) -> (&'static str, &'static str) {
     match event {
-        Event::Arrival => "engine.arrival",
-        Event::Departure(_) => "engine.departure",
-        Event::Rejoin(_) => "engine.rejoin",
-        Event::JoinRetry(_) => "engine.join_retry",
-        Event::SwitchCheck(_) => "engine.switch_check",
-        Event::ReleaseLocks(_) => "engine.release_locks",
-        Event::Sample => "engine.sample",
-        Event::ObserverJoin => "engine.observer_join",
-        Event::ChaosInject(_) => "engine.chaos_inject",
-        Event::ChaosFail(_) => "engine.chaos_fail",
-        Event::ChaosJoin => "engine.chaos_join",
-        Event::ChaosFlap(_) => "engine.chaos_flap",
-        Event::ChaosLinkEnd(_) => "engine.chaos_link_end",
-    }
-}
-
-/// Per-event-type counter names (static so the metrics hot path never
-/// allocates).
-fn event_metric_name(event: &Event) -> &'static str {
-    match event {
-        Event::Arrival => "sim.events.arrival",
-        Event::Departure(_) => "sim.events.departure",
-        Event::Rejoin(_) => "sim.events.rejoin",
-        Event::JoinRetry(_) => "sim.events.join_retry",
-        Event::SwitchCheck(_) => "sim.events.switch_check",
-        Event::ReleaseLocks(_) => "sim.events.release_locks",
-        Event::Sample => "sim.events.sample",
-        Event::ObserverJoin => "sim.events.observer_join",
-        Event::ChaosInject(_) => "sim.events.chaos_inject",
-        Event::ChaosFail(_) => "sim.events.chaos_fail",
-        Event::ChaosJoin => "sim.events.chaos_join",
-        Event::ChaosFlap(_) => "sim.events.chaos_flap",
-        Event::ChaosLinkEnd(_) => "sim.events.chaos_link_end",
+        Event::Arrival => ("engine.arrival", "sim.events.arrival"),
+        Event::Departure(_) => ("engine.departure", "sim.events.departure"),
+        Event::Rejoin(_) => ("engine.rejoin", "sim.events.rejoin"),
+        Event::JoinRetry(_) => ("engine.join_retry", "sim.events.join_retry"),
+        Event::SwitchCheck(_) => ("engine.switch_check", "sim.events.switch_check"),
+        Event::ReleaseLocks(_) => ("engine.release_locks", "sim.events.release_locks"),
+        Event::Sample => ("engine.sample", "sim.events.sample"),
+        Event::ObserverJoin => ("engine.observer_join", "sim.events.observer_join"),
+        Event::ChaosInject(_) => ("engine.chaos_inject", "sim.events.chaos_inject"),
+        Event::ChaosFail(_) => ("engine.chaos_fail", "sim.events.chaos_fail"),
+        Event::ChaosJoin => ("engine.chaos_join", "sim.events.chaos_join"),
+        Event::ChaosFlap(_) => ("engine.chaos_flap", "sim.events.chaos_flap"),
+        Event::ChaosLinkEnd(_) => ("engine.chaos_link_end", "sim.events.chaos_link_end"),
     }
 }
 

@@ -838,7 +838,7 @@ impl StreamingSim {
     /// Runs to completion.
     #[must_use]
     pub fn run(self) -> StreamingReport {
-        self.inner.run_streaming()
+        self.run_inner(Obs::disabled(), None).0
     }
 
     /// Runs with the given observability pipeline installed and returns it
@@ -846,7 +846,8 @@ impl StreamingSim {
     /// [`ChurnSim::run_with_obs`](crate::ChurnSim::run_with_obs).
     #[must_use]
     pub fn run_with_obs(self, obs: Obs) -> (StreamingReport, Obs) {
-        self.inner.run_streaming_with_obs(obs)
+        let (report, _invariants, obs) = self.run_inner(obs, None);
+        (report, obs)
     }
 
     /// Runs with the given invariant registry armed — see
@@ -859,7 +860,21 @@ impl StreamingSim {
         registry: InvariantRegistry,
         obs: Obs,
     ) -> (StreamingReport, InvariantRegistry, Obs) {
-        self.inner.run_streaming_checked(registry, obs)
+        self.run_inner(obs, Some(registry))
+    }
+
+    /// Runs the churn simulator's event loop and folds its streaming
+    /// layer into the report.
+    fn run_inner(
+        self,
+        obs: Obs,
+        invariants: Option<InvariantRegistry>,
+    ) -> (StreamingReport, InvariantRegistry, Obs) {
+        let (churn, streaming, obs, invariants) = self.inner.run_inner(obs, invariants);
+        let report = streaming
+            .expect("built with new_with_streaming")
+            .into_report(churn);
+        (report, invariants, obs)
     }
 }
 

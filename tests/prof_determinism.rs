@@ -45,7 +45,7 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-use rom_bench::{instrumented_churn_cell, CellOut, Json, Sidecars, Sweep};
+use rom_bench::{instrumented_cell, CellOut, Json, Sidecars, Sweep};
 use rom_engine::{AlgorithmKind, ChurnConfig};
 use rom_obs::Prof;
 
@@ -76,9 +76,9 @@ const PROFILE_ONLY: Sidecars = Sidecars {
 fn profiling_does_not_perturb_deterministic_artifacts() {
     for seed in 1..=3u64 {
         let (plain_report, plain_trace, plain_profile) =
-            instrumented_churn_cell("prof_det", quick_churn(seed), seed, TRACE_ONLY);
+            instrumented_cell("prof_det", quick_churn(seed), seed, TRACE_ONLY);
         let (prof_report, prof_trace, profile) =
-            instrumented_churn_cell("prof_det", quick_churn(seed), seed, TRACE_AND_PROFILE);
+            instrumented_cell("prof_det", quick_churn(seed), seed, TRACE_AND_PROFILE);
 
         assert!(plain_profile.is_none(), "seed {seed}: unrequested profile");
         let profile = profile.expect("profile requested");
@@ -132,7 +132,7 @@ fn op_counts(profile: &str) -> Vec<(String, u64)> {
 fn profiled_sweep(jobs: usize) -> Vec<Vec<(String, u64)>> {
     let out = Sweep::with_jobs(jobs).run(1, 3, |cell| {
         let (report, trace, profile) =
-            instrumented_churn_cell("prof_jobs", quick_churn(cell.seed), cell.seed, PROFILE_ONLY);
+            instrumented_cell("prof_jobs", quick_churn(cell.seed), cell.seed, PROFILE_ONLY);
         assert!(trace.is_none());
         CellOut {
             report,
@@ -181,7 +181,7 @@ fn eviction_scan_is_instrumented_under_ordered_algorithms() {
     let mut cfg = ChurnConfig::quick(AlgorithmKind::RelaxedBandwidthOrdered, 150).with_seed(1);
     cfg.warmup_secs = 150.0;
     cfg.measure_secs = 400.0;
-    let (_report, _trace, profile) = instrumented_churn_cell("prof_bo", cfg, 1, PROFILE_ONLY);
+    let (_report, _trace, profile) = instrumented_cell("prof_bo", cfg, 1, PROFILE_ONLY);
     let counts = op_counts(&profile.expect("profile requested"));
     assert!(
         counts

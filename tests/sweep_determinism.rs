@@ -9,7 +9,7 @@
 //! traced, so any cross-thread interleaving or ordering leak would show
 //! up directly in the merged bytes.
 
-use rom_bench::{traced_churn_cell, traced_streaming_cell, CellOut, Sweep};
+use rom_bench::{instrumented_cell, CellOut, Sidecars, Sweep};
 use rom_chaos::Scenario;
 use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
 
@@ -22,6 +22,12 @@ struct Observed {
     metrics: String,
     health: Option<String>,
 }
+
+/// Traces every cell; the path is never written, only the request counts.
+const TRACE_ONLY: Sidecars = Sidecars {
+    trace: Some("unused-designator"),
+    profile: None,
+};
 
 /// A small-but-real churn configuration (mirrors `tests/determinism.rs`).
 fn quick_churn(algorithm: AlgorithmKind, seed: u64) -> ChurnConfig {
@@ -36,11 +42,11 @@ fn churn_sweep(jobs: usize) -> Observed {
     const ALGS: [AlgorithmKind; 2] = [AlgorithmKind::MinimumDepth, AlgorithmKind::Rost];
     let out = Sweep::with_jobs(jobs).run(ALGS.len(), 3, |cell| {
         let cfg = quick_churn(ALGS[cell.point], cell.seed);
-        let (report, _metrics, trace) = traced_churn_cell("churn_det", cfg, cell.seed);
+        let (report, trace, _profile) = instrumented_cell("churn_det", cfg, cell.seed, TRACE_ONLY);
         CellOut {
             report,
             warnings: Vec::new(),
-            trace: Some(trace),
+            trace,
             profile: None,
         }
     });
@@ -57,11 +63,12 @@ fn churn_sweep(jobs: usize) -> Observed {
 fn streaming_sweep(jobs: usize) -> Observed {
     let out = Sweep::with_jobs(jobs).run(1, 3, |cell| {
         let cfg = StreamingConfig::paper(quick_churn(AlgorithmKind::MinimumDepth, cell.seed), 2);
-        let (report, _metrics, trace) = traced_streaming_cell("streaming_det", cfg, cell.seed);
+        let (report, trace, _profile) =
+            instrumented_cell("streaming_det", cfg, cell.seed, TRACE_ONLY);
         CellOut {
             report,
             warnings: Vec::new(),
-            trace: Some(trace),
+            trace,
             profile: None,
         }
     });
@@ -81,11 +88,11 @@ fn chaos_sweep(jobs: usize) -> Observed {
         let mut churn = quick_churn(AlgorithmKind::Rost, cell.seed);
         churn.chaos = Scenario::by_name(SCENARIOS[cell.point], 180.0, 300.0);
         let cfg = StreamingConfig::paper(churn, 2);
-        let (report, _metrics, trace) = traced_streaming_cell("chaos_det", cfg, cell.seed);
+        let (report, trace, _profile) = instrumented_cell("chaos_det", cfg, cell.seed, TRACE_ONLY);
         CellOut {
             report,
             warnings: Vec::new(),
-            trace: Some(trace),
+            trace,
             profile: None,
         }
     });
@@ -108,11 +115,11 @@ fn burst_sweep(jobs: usize) -> Observed {
         let mut churn = quick_churn(AlgorithmKind::Rost, cell.seed);
         churn.chaos = Scenario::by_name(SCENARIOS[cell.point], 180.0, 300.0);
         let cfg = StreamingConfig::paper(churn, 2);
-        let (report, _metrics, trace) = traced_streaming_cell("burst_det", cfg, cell.seed);
+        let (report, trace, _profile) = instrumented_cell("burst_det", cfg, cell.seed, TRACE_ONLY);
         CellOut {
             report,
             warnings: Vec::new(),
-            trace: Some(trace),
+            trace,
             profile: None,
         }
     });
