@@ -37,7 +37,9 @@ fn build_tree(n: u64, seed: u64) -> MulticastTree {
 }
 
 fn bench_joins(c: &mut Criterion) {
-    let tree = build_tree(2_000, 1);
+    let mut tree = build_tree(2_000, 1);
+    // The relaxed ordered algorithms read the order index.
+    tree.arm_order_index();
     let candidates: Vec<NodeId> = tree.attached_by_depth().collect();
     let joiner = MemberProfile::new(
         NodeId(999_999),
@@ -119,7 +121,7 @@ fn bench_mutations(c: &mut Criterion) {
             || build_tree(10_000, 3),
             |mut tree| {
                 // Remove a member from the shallow layers (big subtree).
-                let victim = tree.layer(1).next().unwrap();
+                let victim = tree.children(tree.root()).next().unwrap();
                 black_box(tree.remove(victim).unwrap());
             },
             BatchSize::LargeInput,

@@ -379,9 +379,11 @@ fn main() {
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--fail-above" => {
+                        // A NaN threshold would never trip the gate.
                         fail_above = Some(
                             rest.next()
-                                .and_then(|v| v.parse().ok())
+                                .and_then(|v| v.parse::<f64>().ok())
+                                .filter(|pct| pct.is_finite() && *pct >= 0.0)
                                 .unwrap_or_else(|| usage()),
                         );
                     }

@@ -32,3 +32,11 @@ fn zero_mega_size_is_a_usage_error() {
     assert_usage_exit(&run(bin, &["--sizes", "0"]));
     assert_usage_exit(&run(bin, &["--sizes", "1000,0"]));
 }
+
+#[test]
+fn non_numeric_fail_above_is_a_usage_error() {
+    let bin = env!("CARGO_BIN_EXE_rom-prof");
+    assert_usage_exit(&run(bin, &["diff", "a", "b", "--fail-above", "nan"]));
+    assert_usage_exit(&run(bin, &["diff", "a", "b", "--fail-above", "inf"]));
+    assert_usage_exit(&run(bin, &["diff", "a", "b", "--fail-above", "-5"]));
+}

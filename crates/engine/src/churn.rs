@@ -307,8 +307,13 @@ impl ChurnSim {
             root_rng.fork("workload"),
         );
         let source_location = workload.random_location();
-        let tree = MulticastTree::new(paper_source(source_location), cfg.stream_rate);
+        let mut tree = MulticastTree::new(paper_source(source_location), cfg.stream_rate);
         let algorithm = Algorithm::of(cfg.algorithm);
+        // Only the centralized baselines read the ordered indices; every
+        // other run skips maintaining them.
+        if algorithm.as_dyn().is_centralized() {
+            tree.arm_order_index();
+        }
         let sampler = ViewSampler::new(cfg.view_size);
         let rng = root_rng.fork("decisions");
         let chaos = cfg.chaos.clone().map(|scenario| ChaosState {
@@ -1547,6 +1552,20 @@ mod tests {
             (100.0..320.0).contains(&mean),
             "population {mean} should hover near 200"
         );
+    }
+
+    /// The ordered indices are armed for the centralized baselines and
+    /// only for them.
+    #[test]
+    fn order_index_is_armed_exactly_for_centralized_algorithms() {
+        for kind in AlgorithmKind::ALL {
+            let centralized = matches!(
+                kind,
+                AlgorithmKind::RelaxedBandwidthOrdered | AlgorithmKind::RelaxedTimeOrdered
+            );
+            let sim = ChurnSim::new(quick(kind, 200, 7));
+            assert_eq!(sim.tree().order_index().is_some(), centralized, "{kind}");
+        }
     }
 
     #[test]

@@ -14,10 +14,12 @@
 
 mod longest_first;
 mod min_depth;
+mod order_index;
 mod ordered;
 
 pub use longest_first::LongestFirst;
 pub use min_depth::MinimumDepth;
+pub use order_index::OrderIndex;
 pub use ordered::{RelaxedBandwidthOrdered, RelaxedTimeOrdered};
 
 use rom_sim::SimTime;
@@ -39,8 +41,8 @@ pub struct JoinContext<'a> {
     /// partial view; the engine guarantees candidates are attached and
     /// outside the joiner's own subtree. Centralized algorithms ignore
     /// this field entirely — they read the whole attached membership
-    /// through the tree's indices — so the engine passes an empty slice
-    /// for them.
+    /// through the tree's [`OrderIndex`] — so the engine passes an empty
+    /// slice for them.
     pub candidates: &'a [NodeId],
     /// Current simulation time (for age/BTP computations).
     pub now: SimTime,
@@ -75,7 +77,9 @@ pub trait TreeAlgorithm: std::fmt::Debug {
 
     /// True if the algorithm needs global topology information (§5 notes
     /// the relaxed ordered baselines "assume a central administrator").
-    /// The engine then passes all attached members as candidates.
+    /// Such an algorithm reads the tree's [`OrderIndex`] instead of a
+    /// candidate list, so the engine arms the index for it and passes no
+    /// candidates.
     fn is_centralized(&self) -> bool {
         false
     }
@@ -125,22 +129,28 @@ pub fn min_depth_parent(ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> Opt
 }
 
 /// Centralized [`min_depth_parent`]: the same minimum-depth rule over the
-/// *entire* attached membership, answered from the tree's per-depth
-/// free-slot index instead of a materialized candidate list. The first
+/// *entire* attached membership, answered from the tree's [`OrderIndex`]
+/// free-slot entries instead of a materialized candidate list. The first
 /// layer with spare capacity decides the depth (deeper members can never
 /// win the depth-first ordering), and within it the id-ordered free-slot
 /// entries reproduce the candidate scan's (delay, id) tie-break exactly.
 /// Detached members — including the joiner's own orphaned subtree — are
 /// never in the index, matching the engine's candidate filtering.
+///
+/// # Panics
+///
+/// Panics if the tree's order index is not armed
+/// ([`MulticastTree::arm_order_index`]).
 #[must_use]
 pub fn min_depth_parent_indexed(
     tree: &MulticastTree,
     joiner: &MemberProfile,
     proximity: &dyn Proximity,
 ) -> Option<NodeId> {
-    let depth = tree.shallowest_free_depth()?;
+    let index = order_index::armed(tree);
+    let depth = index.shallowest_free_depth()?;
     let mut best: Option<(f64, NodeId)> = None;
-    for (cand, ix) in tree.free_slot_entries(depth) {
+    for (cand, ix) in index.free_slot_entries(depth) {
         let loc = tree.profile_ix(ix).location;
         let delay = proximity.delay_ms(joiner.location, loc);
         let better = match best {

@@ -11,23 +11,10 @@
 //! children... Note that both algorithms assume a central administrator
 //! providing global topological information."
 
+use crate::algorithms::order_index::{armed, Order};
 use crate::algorithms::{min_depth_parent_indexed, JoinContext, JoinDecision, TreeAlgorithm};
 use crate::id::NodeId;
-use crate::member::MemberProfile;
 use crate::proximity::Proximity;
-use crate::tree::MulticastTree;
-use rom_sim::SimTime;
-
-/// The ordering criterion a relaxed ordered tree maintains.
-trait OrderKey {
-    /// The sort key; *larger* keys deserve *higher* (shallower) positions.
-    fn key(profile: &MemberProfile, now: SimTime) -> f64;
-
-    /// The layer's weakest occupant under this ordering — the minimum
-    /// (key, id) among attached members at `depth` — answered from the
-    /// tree's per-depth eviction index instead of a layer scan.
-    fn weakest(tree: &MulticastTree, depth: usize, now: SimTime) -> Option<(f64, NodeId)>;
-}
 
 /// Shared eviction search: the shallowest attached non-root member whose
 /// key is strictly smaller than the joiner's — the paper's "searches from
@@ -37,17 +24,17 @@ trait OrderKey {
 /// the weakest keeps displacement cascades short, since the evictee
 /// out-ranks almost nobody and simply reattaches.
 ///
-/// Each layer is answered by one probe of the tree's ordered eviction
-/// index: the layer's globally weakest occupant qualifies iff *any*
-/// occupant does (every qualifying key is ≥ the minimum), and on key
-/// ties the index already yields the smallest id — exactly the member
-/// the former full layer scan selected.
-fn find_eviction<K: OrderKey>(ctx: &JoinContext<'_>) -> Option<NodeId> {
+/// Each layer is answered by one probe of the tree's armed
+/// [`OrderIndex`](super::OrderIndex): the layer's globally weakest
+/// occupant qualifies iff *any* occupant does (every qualifying key is ≥
+/// the minimum), and on key ties the index already yields the smallest
+/// id — exactly the member the former full layer scan selected.
+fn find_eviction(ctx: &JoinContext<'_>, order: Order) -> Option<NodeId> {
     let _span = ctx.tree.prof().span("overlay.find_eviction");
-    let joiner_key = K::key(ctx.joiner, ctx.now);
-    let tree = ctx.tree;
-    for depth in 1..=tree.max_depth() {
-        if let Some((key, evict)) = K::weakest(tree, depth, ctx.now) {
+    let joiner_key = order.key(ctx.joiner, ctx.now);
+    let index = armed(ctx.tree);
+    for depth in 1..=ctx.tree.max_depth() {
+        if let Some((key, evict)) = index.weakest(order, depth, ctx.now) {
             if key < joiner_key {
                 return Some(evict);
             }
@@ -56,8 +43,8 @@ fn find_eviction<K: OrderKey>(ctx: &JoinContext<'_>) -> Option<NodeId> {
     None
 }
 
-fn ordered_select<K: OrderKey>(ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> JoinDecision {
-    if let Some(evict) = find_eviction::<K>(ctx) {
+fn ordered_select(ctx: &JoinContext<'_>, proximity: &dyn Proximity, order: Order) -> JoinDecision {
+    if let Some(evict) = find_eviction(ctx, order) {
         return JoinDecision::Replace { evict };
     }
     // Centralized fallback over the whole attached membership, straight
@@ -65,30 +52,6 @@ fn ordered_select<K: OrderKey>(ctx: &JoinContext<'_>, proximity: &dyn Proximity)
     match min_depth_parent_indexed(ctx.tree, ctx.joiner, proximity) {
         Some(parent) => JoinDecision::Attach { parent },
         None => JoinDecision::Reject,
-    }
-}
-
-struct BandwidthKey;
-
-impl OrderKey for BandwidthKey {
-    fn key(profile: &MemberProfile, _now: SimTime) -> f64 {
-        profile.bandwidth
-    }
-
-    fn weakest(tree: &MulticastTree, depth: usize, _now: SimTime) -> Option<(f64, NodeId)> {
-        tree.weakest_by_bandwidth(depth)
-    }
-}
-
-struct AgeKey;
-
-impl OrderKey for AgeKey {
-    fn key(profile: &MemberProfile, now: SimTime) -> f64 {
-        profile.age(now)
-    }
-
-    fn weakest(tree: &MulticastTree, depth: usize, now: SimTime) -> Option<(f64, NodeId)> {
-        tree.weakest_by_age(depth, now)
     }
 }
 
@@ -109,7 +72,7 @@ impl TreeAlgorithm for RelaxedBandwidthOrdered {
     }
 
     fn select(&self, ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> JoinDecision {
-        ordered_select::<BandwidthKey>(ctx, proximity)
+        ordered_select(ctx, proximity, Order::Bandwidth)
     }
 }
 
@@ -129,7 +92,7 @@ impl TreeAlgorithm for RelaxedTimeOrdered {
     }
 
     fn select(&self, ctx: &JoinContext<'_>, proximity: &dyn Proximity) -> JoinDecision {
-        ordered_select::<AgeKey>(ctx, proximity)
+        ordered_select(ctx, proximity, Order::Age)
     }
 }
 
@@ -137,8 +100,10 @@ impl TreeAlgorithm for RelaxedTimeOrdered {
 mod tests {
     use super::*;
     use crate::id::Location;
+    use crate::member::MemberProfile;
     use crate::proximity::ZeroProximity;
     use crate::tree::MulticastTree;
+    use rom_sim::SimTime;
 
     fn profile(id: u64, bw: f64, join_secs: f64) -> MemberProfile {
         MemberProfile::new(
@@ -148,6 +113,14 @@ mod tests {
             1e6,
             Location(id as u32),
         )
+    }
+
+    /// A tree with its order index armed, as the engine builds one for a
+    /// centralized algorithm.
+    fn armed_tree(source: MemberProfile) -> MulticastTree {
+        let mut tree = MulticastTree::new(source, 1.0);
+        tree.arm_order_index();
+        tree
     }
 
     fn ctx<'a>(
@@ -166,7 +139,7 @@ mod tests {
 
     #[test]
     fn bo_evicts_shallowest_weaker_node() {
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = armed_tree(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 1.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(3, 0.5, 0.0), NodeId(1)).unwrap();
@@ -183,7 +156,7 @@ mod tests {
 
     #[test]
     fn bo_picks_weakest_within_layer() {
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = armed_tree(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 2.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 1.0, 0.0), NodeId(0)).unwrap();
         let joiner = profile(9, 3.0, 10.0);
@@ -197,7 +170,7 @@ mod tests {
 
     #[test]
     fn bo_falls_back_to_min_depth_when_nothing_weaker() {
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = armed_tree(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 0.0), NodeId(0)).unwrap();
         let joiner = profile(9, 0.7, 10.0); // weaker than everyone
         let all: Vec<NodeId> = tree.attached_by_depth().collect();
@@ -210,7 +183,7 @@ mod tests {
 
     #[test]
     fn to_evicts_younger_node() {
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = armed_tree(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 10.0), NodeId(0)).unwrap(); // age 90 at t=100
         tree.attach(profile(2, 5.0, 80.0), NodeId(0)).unwrap(); // age 20
         let joiner = profile(9, 1.0, 50.0); // age 50: older than node 2 only
@@ -224,7 +197,7 @@ mod tests {
 
     #[test]
     fn to_attaches_when_youngest() {
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = armed_tree(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 10.0), NodeId(0)).unwrap();
         let joiner = profile(9, 9.0, 95.0); // youngest member
         let all: Vec<NodeId> = tree.attached_by_depth().collect();
@@ -233,6 +206,15 @@ mod tests {
             RelaxedTimeOrdered.select(&c, &ZeroProximity),
             JoinDecision::Attach { parent: NodeId(0) }
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "arm_order_index")]
+    fn unarmed_tree_is_a_programming_error() {
+        let tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let joiner = profile(9, 3.0, 10.0);
+        let c = ctx(&tree, &joiner, &[], 10.0);
+        let _ = RelaxedBandwidthOrdered.select(&c, &ZeroProximity);
     }
 
     #[test]
@@ -248,13 +230,16 @@ mod tests {
         // Regression for the indexed eviction path: `set_bandwidth` must
         // re-key the member's index entry, or a later ordered join probes
         // stale bandwidths and picks the wrong victim.
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = armed_tree(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 5.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 4.0, 0.0), NodeId(0)).unwrap();
         // Node 1 decays below node 2: the index must now rank it weakest.
         tree.set_bandwidth(NodeId(1), 2.0).unwrap();
         tree.check_invariants().unwrap();
-        assert_eq!(tree.weakest_by_bandwidth(1), Some((2.0, NodeId(1))));
+        assert_eq!(
+            tree.order_index().unwrap().weakest_by_bandwidth(1),
+            Some((2.0, NodeId(1)))
+        );
         let joiner = profile(9, 3.0, 10.0);
         let c = ctx(&tree, &joiner, &[], 10.0);
         assert_eq!(
@@ -269,7 +254,7 @@ mod tests {
         // eviction and free-slot indices must follow, so the next ordered
         // join neither evicts a detached member nor misses the weakened
         // survivor.
-        let mut tree = MulticastTree::new(profile(0, 10.0, 0.0), 1.0);
+        let mut tree = armed_tree(profile(0, 10.0, 0.0));
         tree.attach(profile(1, 3.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(2, 4.0, 0.0), NodeId(0)).unwrap();
         tree.attach(profile(3, 1.0, 0.0), NodeId(1)).unwrap();
@@ -279,7 +264,10 @@ mod tests {
         assert_eq!(shed, vec![NodeId(4)]);
         tree.check_invariants().unwrap();
         // Depth 2 now holds only node 3; the shed node is unprobeable.
-        assert_eq!(tree.weakest_by_bandwidth(2), Some((1.0, NodeId(3))));
+        assert_eq!(
+            tree.order_index().unwrap().weakest_by_bandwidth(2),
+            Some((1.0, NodeId(3)))
+        );
         // A joiner stronger than the decayed node 1 (bw 1.2) but weaker
         // than node 2 evicts node 1 — the post-decay weakest at depth 1.
         let joiner = profile(9, 2.0, 10.0);
@@ -292,7 +280,7 @@ mod tests {
 
     #[test]
     fn root_is_never_evicted() {
-        let tree = MulticastTree::new(profile(0, 0.1, 50.0), 1.0);
+        let tree = armed_tree(profile(0, 0.1, 50.0));
         let joiner = profile(9, 99.0, 0.0);
         let all: Vec<NodeId> = tree.attached_by_depth().collect();
         let c = ctx(&tree, &joiner, &all, 100.0);

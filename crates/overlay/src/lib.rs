@@ -14,7 +14,8 @@
 //! - [`Proximity`] — the underlay-distance hook (wired to `rom-net` by the
 //!   engine),
 //! - [`algorithms`] — the four baseline construction algorithms the paper
-//!   compares ROST against.
+//!   compares ROST against, and the [`OrderIndex`](algorithms::OrderIndex)
+//!   the two centralized ones search.
 //!
 //! # Examples
 //!

@@ -28,15 +28,22 @@
 //! number) exactly once at insert, slots live in a flat `Vec`, and all
 //! parent/child links are index-typed. A single sorted id→index map
 //! remains for the operations whose *output* is id-ordered (member
-//! iteration, invariant checks); everything else — walks, depth restamps,
-//! the per-event hot paths of the construction algorithms — follows raw
-//! indices with no map lookups and no per-call allocation. Removed slots
-//! go on a free list and are reused (their child `Vec` allocation
-//! included). The index assignment itself is deterministic for a given
-//! operation sequence but deliberately unobservable: every public
-//! iteration order is defined in terms of ids and depths, so the arena
-//! produces byte-identical output to the id-keyed representation it
-//! replaced.
+//! iteration, breadth-first order, invariant checks); everything else —
+//! walks, depth restamps, the per-event hot paths of the construction
+//! algorithms — follows raw indices with no map lookups and no per-call
+//! allocation. Removed slots go on a free list and are reused (their
+//! child `Vec` allocation included). The index assignment itself is
+//! deterministic for a given operation sequence but deliberately
+//! unobservable: every public iteration order is defined in terms of ids
+//! and depths, so the arena produces byte-identical output to the
+//! id-keyed representation it replaced.
+//!
+//! Per depth the tree keeps only a count of attached members, which is
+//! what keeps [`attached_count`](MulticastTree::attached_count) and
+//! [`max_depth`](MulticastTree::max_depth) O(1). The ordered eviction and
+//! free-slot indices the centralized baselines search live in
+//! [`OrderIndex`], which the tree maintains only once
+//! [`arm_order_index`](MulticastTree::arm_order_index) is called.
 
 // rom-lint: allow(send-hostile-state) -- RefCell is Send (only !Sync); the sweep engine moves each sim whole onto one worker, pinned by the Send assertion in rom-bench's sweep tests
 use std::cell::RefCell;
@@ -45,6 +52,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rom_obs::Prof;
 use rom_sim::SimTime;
 
+use crate::algorithms::OrderIndex;
 use crate::error::{InvariantViolation, TreeError};
 use crate::id::NodeId;
 use crate::member::MemberProfile;
@@ -145,57 +153,6 @@ struct TreeSlot {
     generation: u32,
 }
 
-/// Encodes a non-negative bandwidth as an order-preserving `u64` key:
-/// for non-negative finite doubles the raw bit pattern already sorts
-/// numerically, and adding `0.0` first collapses `-0.0` onto `0.0` so
-/// bitwise key equality coincides with `==` (the comparison the layer
-/// scan this index replaces used).
-fn bw_order_key(bw: f64) -> u64 {
-    (bw + 0.0).to_bits()
-}
-
-/// Encodes a join time as a `u64` that sorts *descending* in time (and
-/// therefore ascending in age at any fixed `now`): the standard
-/// sign-aware total-order bit trick, complemented. `SimTime` may be
-/// negative, so both halves of the mapping are exercised.
-fn join_order_key(t: SimTime) -> u64 {
-    let bits = t.as_secs().to_bits();
-    let ascending = if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    };
-    !ascending
-}
-
-/// Recovers the exact join time a [`join_order_key`] was computed from,
-/// so age probes can reproduce `MemberProfile::age` bit for bit without
-/// a slot lookup.
-fn join_order_key_decode(key: u64) -> f64 {
-    let ascending = !key;
-    if ascending >> 63 == 1 {
-        f64::from_bits(ascending & !(1 << 63))
-    } else {
-        f64::from_bits(!ascending)
-    }
-}
-
-/// One depth layer's ordered eviction indices: the attached occupants
-/// keyed by the two order criteria the relaxed ordered algorithms evict
-/// under (§5 algorithms 3–4). Both sets iterate weakest-first with ties
-/// to the smallest id, so the eviction search probes the first entry
-/// instead of scanning the layer.
-#[derive(Debug, Clone, Default)]
-struct EvictLayer {
-    /// `(bw_order_key(bandwidth), id)` — ascending bandwidth, then id.
-    by_bandwidth: BTreeSet<(u64, NodeId)>,
-    /// `(join_order_key(join_time), id)` — descending join time (i.e.
-    /// ascending age at any `now`), then id. Time-invariant: age order
-    /// at every `now` is exactly reverse join-time order, so the index
-    /// never needs restamping as the clock advances.
-    by_join: BTreeSet<(u64, NodeId)>,
-}
-
 /// What [`MulticastTree::remove`] hands back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemovedMember {
@@ -269,25 +226,18 @@ pub struct MulticastTree {
     /// The single sorted id→index map; every id-ordered iteration the
     /// public API exposes is defined through it.
     ids: BTreeMap<NodeId, NodeIndex>,
-    /// Attached members bucketed by depth, each layer sorted by id so
-    /// iteration order is exactly (depth, id).
-    depth_index: Vec<Vec<(NodeId, NodeIndex)>>,
-    /// Per-depth ordered eviction indices (same length as `depth_index`),
-    /// maintained alongside it so `find_eviction` probes the weakest
-    /// entry per layer instead of scanning every member.
-    evict_index: Vec<EvictLayer>,
-    /// Per-depth attached members with at least one free forwarding slot
-    /// (same length as `depth_index`), keyed by id so iteration within a
-    /// layer is id-ordered. Lets the centralized minimum-depth fallback
-    /// jump straight to the shallowest layer with spare capacity.
-    free_index: Vec<BTreeMap<NodeId, NodeIndex>>,
+    /// `layer_counts[d]` = attached members at depth `d`.
+    layer_counts: Vec<usize>,
+    /// The centralized baselines' ordered indices; `None` until
+    /// [`arm_order_index`](Self::arm_order_index).
+    order: Option<OrderIndex>,
     orphan_roots: BTreeSet<NodeId>,
-    /// O(1) cache: total entries across `depth_index`.
+    /// O(1) cache: total of `layer_counts`.
     attached_total: usize,
     /// O(1) cache: index of the deepest non-empty layer.
     deepest: usize,
-    /// Reusable frontier stack for `&self` walks (descendants,
-    /// subtree_size); never held across a public call boundary.
+    /// Reusable frontier stack for `&self` walks (descendants); never
+    /// held across a public call boundary.
     // rom-lint: allow(send-hostile-state) -- interior mutability is confined to &self walks within one call; the tree stays Send because RefCell<Vec<_>> is Send
     scratch: RefCell<Vec<NodeIndex>>,
     /// Reusable frontier stack for `&mut self` depth restamps.
@@ -310,14 +260,6 @@ impl MulticastTree {
         let root = source.id;
         let capacity = source.out_capacity(stream_rate);
         let root_ix = NodeIndex::mint(0, 0);
-        let root_evict = EvictLayer {
-            by_bandwidth: BTreeSet::from([(bw_order_key(source.bandwidth), root)]),
-            by_join: BTreeSet::from([(join_order_key(source.join_time), root)]),
-        };
-        let mut root_free = BTreeMap::new();
-        if capacity > 0 {
-            root_free.insert(root, root_ix);
-        }
         let slots = vec![TreeSlot {
             id: root,
             profile: source,
@@ -338,9 +280,8 @@ impl MulticastTree {
             slots,
             free: Vec::new(),
             ids,
-            depth_index: vec![vec![(root, root_ix)]],
-            evict_index: vec![root_evict],
-            free_index: vec![root_free],
+            layer_counts: vec![1],
+            order: None,
             orphan_roots: BTreeSet::new(),
             attached_total: 1,
             deepest: 0,
@@ -356,6 +297,22 @@ impl MulticastTree {
     /// default disabled handle each span is a single branch.
     pub fn set_prof(&mut self, prof: Prof) {
         self.prof = prof;
+    }
+
+    /// Builds the [`OrderIndex`] over the currently attached members and
+    /// maintains it through every later mutation. The relaxed ordered
+    /// algorithms and
+    /// [`min_depth_parent_indexed`](crate::algorithms::min_depth_parent_indexed)
+    /// read it and panic without it; no other algorithm needs it, so a
+    /// tree that never places members with them never pays for it.
+    pub fn arm_order_index(&mut self) {
+        self.order = Some(OrderIndex::of(self));
+    }
+
+    /// The ordered eviction and free-slot indices, if armed.
+    #[must_use]
+    pub fn order_index(&self) -> Option<&OrderIndex> {
+        self.order.as_ref()
     }
 
     /// The tree's span-profiler handle (disabled unless installed via
@@ -454,9 +411,8 @@ impl MulticastTree {
     }
 
     /// Returns a slot to the free list. The child `Vec` is kept (cleared)
-    /// so its allocation is reused; `attached` is cleared so arena-wide
-    /// scans (e.g. [`mean_internal_out_degree`](Self::mean_internal_out_degree))
-    /// skip freed slots naturally.
+    /// so its allocation is reused; `attached` is cleared so nothing
+    /// treats the freed slot as a member.
     fn free_slot(&mut self, ix: NodeIndex) {
         let slot = &mut self.slots[ix.index()];
         slot.parent = NodeIndex::NIL;
@@ -627,9 +583,7 @@ impl MulticastTree {
         self.index_of(id).map_or(0, |ix| self.free_slots_ix(ix))
     }
 
-    /// Index-typed [`free_slots`](Self::free_slots).
-    #[must_use]
-    pub fn free_slots_ix(&self, ix: NodeIndex) -> usize {
+    fn free_slots_ix(&self, ix: NodeIndex) -> usize {
         let slot = self.s(ix);
         slot.capacity.saturating_sub(slot.children.len())
     }
@@ -663,25 +617,21 @@ impl MulticastTree {
 
     /// Attached members in breadth-first (depth, then id) order — the
     /// "search from high to low layers" order of the relaxed ordered
-    /// algorithms.
-    pub fn attached_by_depth(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.depth_index
+    /// algorithms. O(M): the id-ordered member map is bucketed by depth,
+    /// so each layer keeps id order. Meant for snapshots, not per-event
+    /// use.
+    pub fn attached_by_depth(&self) -> impl Iterator<Item = NodeId> {
+        let mut layers: Vec<Vec<NodeId>> = self.layer_counts[..=self.deepest]
             .iter()
-            .flat_map(|layer| layer.iter().map(|&(id, _)| id))
-    }
-
-    /// The attached members at exactly `depth`, in id order.
-    pub fn layer(&self, depth: usize) -> impl Iterator<Item = NodeId> + '_ {
-        self.layer_entries(depth).map(|(id, _)| id)
-    }
-
-    /// The attached members at exactly `depth` with their arena indices,
-    /// in id order.
-    pub fn layer_entries(&self, depth: usize) -> impl Iterator<Item = (NodeId, NodeIndex)> + '_ {
-        self.depth_index
-            .get(depth)
-            .into_iter()
-            .flat_map(|layer| layer.iter().copied())
+            .map(|&count| Vec::with_capacity(count))
+            .collect();
+        for (&id, &ix) in &self.ids {
+            let slot = self.s(ix);
+            if slot.attached {
+                layers[slot.depth].push(id);
+            }
+        }
+        layers.into_iter().flatten()
     }
 
     /// The deepest attached layer index. O(1): maintained incrementally.
@@ -690,87 +640,20 @@ impl MulticastTree {
         self.deepest
     }
 
-    /// The attached member at `depth` with the minimum (bandwidth, id) —
-    /// the node the relaxed bandwidth-ordered eviction rule targets in
-    /// that layer. Answered from the per-depth ordered index in
-    /// O(log layer) instead of a layer scan. The returned bandwidth is
-    /// numerically equal to the member's (`-0.0` reads back as `0.0`).
-    #[must_use]
-    pub fn weakest_by_bandwidth(&self, depth: usize) -> Option<(f64, NodeId)> {
-        let layer = self.evict_index.get(depth)?;
-        layer
-            .by_bandwidth
-            .iter()
-            .next()
-            .map(|&(key, id)| (f64::from_bits(key), id))
-    }
-
-    /// The attached member at `depth` with the minimum (age at `now`, id)
-    /// — the relaxed time-ordered eviction target in that layer. The
-    /// index is ordered by descending join time, which equals ascending
-    /// age at any `now`; distinct join times can still collapse onto one
-    /// age (the clamp at zero for not-yet-joined members, f64 subtraction
-    /// rounding), so the id tie-break walks the equal-age prefix. Ages
-    /// are recomputed exactly as [`MemberProfile::age`] computes them,
-    /// from join times recovered bit-for-bit out of the index keys.
-    #[must_use]
-    pub fn weakest_by_age(&self, depth: usize, now: SimTime) -> Option<(f64, NodeId)> {
-        let layer = self.evict_index.get(depth)?;
-        let age_of = |key: u64| (now.as_secs() - join_order_key_decode(key)).max(0.0);
-        let mut entries = layer.by_join.iter();
-        let &(first_key, first_id) = entries.next()?;
-        let age = age_of(first_key);
-        let mut best = first_id;
-        for &(key, id) in entries {
-            if age_of(key) != age {
-                break;
-            }
-            if id < best {
-                best = id;
-            }
-        }
-        Some((age, best))
-    }
-
-    /// The shallowest depth holding an attached member with at least one
-    /// free forwarding slot — where the minimum-depth join rule will
-    /// place the next leaf. O(max_depth) probes of per-depth free-slot
-    /// maps instead of a scan over the whole membership.
-    #[must_use]
-    pub fn shallowest_free_depth(&self) -> Option<usize> {
-        (0..=self.deepest).find(|&d| self.free_index.get(d).is_some_and(|m| !m.is_empty()))
-    }
-
-    /// The attached members at `depth` with at least one free forwarding
-    /// slot, with their arena indices, in id order.
-    pub fn free_slot_entries(&self, depth: usize) -> impl Iterator<Item = (NodeId, NodeIndex)> + '_ {
-        self.free_index
-            .get(depth)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(&id, &ix)| (id, ix)))
-    }
-
     /// Ancestors of `id` from its parent up to the subtree root (the source
     /// for attached members). Empty for roots and unknown ids.
     #[must_use]
     pub fn ancestors(&self, id: NodeId) -> Vec<NodeId> {
-        self.ancestors_iter(id).collect()
-    }
-
-    /// Non-allocating [`ancestors`](Self::ancestors): walks parent links
-    /// lazily.
-    pub fn ancestors_iter(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut out = Vec::new();
         let mut cur = self
             .index_of(id)
             .map_or(NodeIndex::NIL, |ix| self.s(ix).parent);
-        std::iter::from_fn(move || {
-            if cur == NodeIndex::NIL {
-                return None;
-            }
+        while cur != NodeIndex::NIL {
             let slot = self.s(cur);
+            out.push(slot.id);
             cur = slot.parent;
-            Some(slot.id)
-        })
+        }
+        out
     }
 
     /// True if `ancestor` lies on the path from `id` to its subtree root.
@@ -846,24 +729,6 @@ impl MulticastTree {
         }
     }
 
-    /// Number of members in the subtree rooted at `id`, including `id`
-    /// itself (0 for unknown ids). A counting walk — no result `Vec`.
-    #[must_use]
-    pub fn subtree_size(&self, id: NodeId) -> usize {
-        let Some(ix) = self.index_of(id) else {
-            return 0;
-        };
-        let mut frontier = self.scratch.borrow_mut();
-        frontier.clear();
-        frontier.push(ix);
-        let mut count = 0;
-        while let Some(n) = frontier.pop() {
-            count += 1;
-            frontier.extend(self.s(n).children.iter().copied());
-        }
-        count
-    }
-
     /// The overlay path from the source to `id` (inclusive), or `None` when
     /// `id` is detached or unknown. Exactly one allocation, filled
     /// backwards from the member's known depth.
@@ -886,70 +751,47 @@ impl MulticastTree {
         Some(path)
     }
 
-    fn index_insert(&mut self, id: NodeId, ix: NodeIndex, depth: usize) {
-        // Key material is read from the slot at insert time, so callers
-        // must finalize the slot's profile/capacity/children first.
-        let slot = &self.slots[ix.index()];
-        let bw_key = bw_order_key(slot.profile.bandwidth);
-        let join_key = join_order_key(slot.profile.join_time);
-        let has_free = slot.capacity > slot.children.len();
-        if self.depth_index.len() <= depth {
-            self.depth_index.resize_with(depth + 1, Vec::new);
-            self.evict_index.resize_with(depth + 1, EvictLayer::default);
-            self.free_index.resize_with(depth + 1, BTreeMap::new);
+    /// Counts `ix` as attached at `depth` and, when armed, indexes it.
+    /// Key material is read from the slot, so callers must finalize the
+    /// slot's profile/capacity/children first.
+    fn index_insert(&mut self, ix: NodeIndex, depth: usize) {
+        if self.layer_counts.len() <= depth {
+            self.layer_counts.resize(depth + 1, 0);
         }
-        let layer = &mut self.depth_index[depth];
-        match layer.binary_search_by_key(&id, |e| e.0) {
-            Ok(_) => debug_assert!(false, "duplicate depth-index entry for {id}"),
-            Err(pos) => {
-                layer.insert(pos, (id, ix));
-                self.attached_total += 1;
-                if depth > self.deepest {
-                    self.deepest = depth;
-                }
-                let evict = &mut self.evict_index[depth];
-                evict.by_bandwidth.insert((bw_key, id));
-                evict.by_join.insert((join_key, id));
-                if has_free {
-                    self.free_index[depth].insert(id, ix);
-                }
-            }
+        self.layer_counts[depth] += 1;
+        self.attached_total += 1;
+        self.deepest = self.deepest.max(depth);
+        if let Some(order) = &mut self.order {
+            let slot = &self.slots[ix.index()];
+            let has_free = slot.capacity > slot.children.len();
+            order.insert(slot.id, ix, depth, &slot.profile, has_free);
         }
     }
 
-    fn index_remove(&mut self, id: NodeId, ix: NodeIndex, depth: usize) {
-        let slot = &self.slots[ix.index()];
-        let bw_key = bw_order_key(slot.profile.bandwidth);
-        let join_key = join_order_key(slot.profile.join_time);
-        if let Some(layer) = self.depth_index.get_mut(depth) {
-            if let Ok(pos) = layer.binary_search_by_key(&id, |e| e.0) {
-                layer.remove(pos);
-                self.attached_total -= 1;
-                let evict = &mut self.evict_index[depth];
-                evict.by_bandwidth.remove(&(bw_key, id));
-                evict.by_join.remove(&(join_key, id));
-                self.free_index[depth].remove(&id);
-                while self.deepest > 0 && self.depth_index[self.deepest].is_empty() {
-                    self.deepest -= 1;
-                }
-            }
+    /// Undoes [`index_insert`](Self::index_insert) for an attached member
+    /// at `depth`.
+    fn index_remove(&mut self, ix: NodeIndex, depth: usize) {
+        self.layer_counts[depth] -= 1;
+        self.attached_total -= 1;
+        while self.deepest > 0 && self.layer_counts[self.deepest] == 0 {
+            self.deepest -= 1;
+        }
+        if let Some(order) = &mut self.order {
+            let slot = &self.slots[ix.index()];
+            order.remove(slot.id, depth, &slot.profile);
         }
     }
 
-    /// Re-evaluates `ix`'s membership in the free-slot index after a
-    /// child-count or capacity change. Detached slots are never indexed,
-    /// so the call is a no-op for them.
+    /// Re-evaluates `ix`'s free-slot entry in the order index (if armed)
+    /// after a child-count or capacity change. Detached slots are never
+    /// indexed, so the call is a no-op for them.
     fn refresh_free_slot(&mut self, ix: NodeIndex) {
         let slot = &self.slots[ix.index()];
-        if !slot.attached {
-            return;
-        }
-        let id = slot.id;
-        let depth = slot.depth;
-        if slot.capacity > slot.children.len() {
-            self.free_index[depth].insert(id, ix);
-        } else {
-            self.free_index[depth].remove(&id);
+        if let Some(order) = &mut self.order {
+            if slot.attached {
+                let has_free = slot.capacity > slot.children.len();
+                order.set_free(slot.id, ix, slot.depth, has_free);
+            }
         }
     }
 
@@ -962,12 +804,10 @@ impl MulticastTree {
         frontier.clear();
         frontier.push((ix, 0));
         while let Some((n, _)) = frontier.pop() {
-            let slot = &self.slots[n.index()];
-            let id = slot.id;
-            let old_depth = slot.depth;
-            self.index_remove(id, n, old_depth);
+            let old_depth = self.slots[n.index()].depth;
+            self.index_remove(n, old_depth);
             self.slots[n.index()].depth = old_depth - 1;
-            self.index_insert(id, n, old_depth - 1);
+            self.index_insert(n, old_depth - 1);
             for &c in &self.slots[n.index()].children {
                 frontier.push((c, 0));
             }
@@ -988,14 +828,13 @@ impl MulticastTree {
             let slot = &mut self.slots[n.index()];
             let was_attached = slot.attached;
             let old_depth = slot.depth;
-            let id = slot.id;
             slot.attached = attached;
             slot.depth = d;
             if was_attached {
-                self.index_remove(id, n, old_depth);
+                self.index_remove(n, old_depth);
             }
             if attached {
-                self.index_insert(id, n, d);
+                self.index_insert(n, d);
             }
             for &c in &self.slots[n.index()].children {
                 frontier.push((c, d + 1));
@@ -1034,7 +873,7 @@ impl MulticastTree {
         self.sm(pix).children.push(ix);
         self.refresh_free_slot(pix);
         self.ids.insert(id, ix);
-        self.index_insert(id, ix, depth);
+        self.index_insert(ix, depth);
         Ok(())
     }
 
@@ -1106,7 +945,7 @@ impl MulticastTree {
             self.refresh_free_slot(parent);
         }
         if attached {
-            self.index_remove(id, ix, depth);
+            self.index_remove(ix, depth);
         }
         self.orphan_roots.remove(&id);
 
@@ -1190,7 +1029,7 @@ impl MulticastTree {
         let adopted_ix: Vec<NodeIndex> = adopted_pairs.iter().map(|&(_, c)| c).collect();
         self.sm(nix).children.extend(adopted_ix.iter().copied());
         self.ids.insert(new_id, nix);
-        self.index_insert(new_id, nix, depth);
+        self.index_insert(nix, depth);
         for &c in &adopted_ix {
             self.sm(c).parent = nix;
         }
@@ -1201,7 +1040,7 @@ impl MulticastTree {
         eslot.parent = NodeIndex::NIL;
         eslot.children.clear();
         eslot.attached = false;
-        self.index_remove(evict, eix, depth);
+        self.index_remove(eix, depth);
         self.orphan_roots.insert(evict);
 
         // Overflow children become orphan subtree roots.
@@ -1294,7 +1133,7 @@ impl MulticastTree {
             e.children.clear();
             e.attached = false;
         }
-        self.index_remove(evict, eix, depth);
+        self.index_remove(eix, depth);
         self.orphan_roots.insert(evict);
 
         for &(cid, c) in overflow_pairs {
@@ -1476,12 +1315,12 @@ impl MulticastTree {
         // computed on the post-switch shape.
         {
             let _restamp = self.prof.span("overlay.switch_restamp");
-            self.index_remove(child, cix, parent_depth + 1);
-            self.index_remove(parent, pix, parent_depth);
+            self.index_remove(cix, parent_depth + 1);
+            self.index_remove(pix, parent_depth);
             self.slots[cix.index()].depth = parent_depth;
             self.slots[pix.index()].depth = parent_depth + 1;
-            self.index_insert(child, cix, parent_depth);
-            self.index_insert(parent, pix, parent_depth + 1);
+            self.index_insert(cix, parent_depth);
+            self.index_insert(pix, parent_depth + 1);
             for &(_, t) in to_promoted {
                 self.shift_subtree_up(t);
             }
@@ -1521,7 +1360,7 @@ impl MulticastTree {
         let slot = &mut self.slots[ix.index()];
         let attached = slot.attached;
         let depth = slot.depth;
-        let old_bw_key = bw_order_key(slot.profile.bandwidth);
+        let old_bandwidth = slot.profile.bandwidth;
         slot.profile.bandwidth = bandwidth;
         slot.capacity = slot.profile.out_capacity(rate);
         let mut shed_ix = Vec::new();
@@ -1532,14 +1371,11 @@ impl MulticastTree {
                 break;
             }
         }
-        // Re-key the member's eviction-index entry under its new
-        // bandwidth (join time is untouched, so `by_join` stands), and
-        // re-evaluate its free-slot membership once shedding settles the
+        // Re-key the member's order-index entry under its new bandwidth,
+        // and re-evaluate its free-slot entry once shedding settles the
         // child count. Detached members carry no index entries.
-        if attached {
-            let evict = &mut self.evict_index[depth];
-            evict.by_bandwidth.remove(&(old_bw_key, id));
-            evict.by_bandwidth.insert((bw_order_key(bandwidth), id));
+        if let (true, Some(order)) = (attached, &mut self.order) {
+            order.rekey_bandwidth(id, depth, old_bandwidth, bandwidth);
         }
         let shed: Vec<NodeId> = shed_ix.iter().map(|&c| self.s(c).id).collect();
         for (i, &c) in shed_ix.iter().enumerate() {
@@ -1551,27 +1387,6 @@ impl MulticastTree {
             self.refresh_free_slot(ix);
         }
         Ok(shed)
-    }
-
-    /// Mean out-degree of attached members that have at least one child —
-    /// the `d` of the paper's `2d + 1` switch-overhead estimate. A
-    /// contiguous scan of the arena (freed slots are detached and
-    /// childless, so they filter out naturally).
-    #[must_use]
-    pub fn mean_internal_out_degree(&self) -> f64 {
-        let mut total = 0usize;
-        let mut count = 0usize;
-        for slot in &self.slots {
-            if slot.attached && !slot.children.is_empty() {
-                total += slot.children.len();
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total as f64 / count as f64
-        }
     }
 
     /// Test helper: forcibly detaches `id` (with its subtree) into orphan
@@ -1617,6 +1432,7 @@ impl MulticastTree {
         }
 
         let mut reachable = 0usize;
+        let mut layer_counts = vec![0usize; self.layer_counts.len()];
         for (&id, &ix) in &self.ids {
             let slot = self.s(ix);
             // Interning consistency.
@@ -1661,25 +1477,21 @@ impl MulticastTree {
                     return fail(format!("{} does not point back at parent {id}", cslot.id));
                 }
             }
-            // Depth-index agreement.
             if slot.attached {
                 reachable += 1;
-                let in_index = self.depth_index.get(slot.depth).is_some_and(|l| {
-                    l.binary_search_by_key(&id, |e| e.0)
-                        .is_ok_and(|pos| l[pos].1 == ix)
-                });
-                if !in_index {
-                    return fail(format!("{id} missing from depth index at {}", slot.depth));
+                match layer_counts.get_mut(slot.depth) {
+                    Some(count) => *count += 1,
+                    None => return fail(format!("{id} attached below the counted layers")),
                 }
             }
         }
 
-        // Index contains nothing extra, layers are id-sorted, and the O(1)
-        // caches agree with a recount.
-        let indexed: usize = self.depth_index.iter().map(Vec::len).sum();
-        if indexed != reachable {
+        // The per-depth counts and the O(1) caches agree with a recount,
+        // and an armed order index holds exactly the attached members.
+        if layer_counts != self.layer_counts {
             return fail(format!(
-                "depth index holds {indexed} ids but {reachable} attached members exist"
+                "layer counts {:?} but attached members per depth are {layer_counts:?}",
+                self.layer_counts
             ));
         }
         if self.attached_total != reachable {
@@ -1688,72 +1500,15 @@ impl MulticastTree {
                 self.attached_total
             ));
         }
-        let deepest = self
-            .depth_index
-            .iter()
-            .rposition(|layer| !layer.is_empty())
-            .unwrap_or(0);
+        let deepest = layer_counts.iter().rposition(|&n| n > 0).unwrap_or(0);
         if self.deepest != deepest {
             return fail(format!(
                 "max_depth cache {} but deepest non-empty layer is {deepest}",
                 self.deepest
             ));
         }
-        for layer in &self.depth_index {
-            if !layer.windows(2).all(|w| w[0].0 < w[1].0) {
-                return fail("depth-index layer is not id-sorted".into());
-            }
-        }
-
-        // Eviction/free-slot index agreement: every layer member appears
-        // in both ordered eviction sets under its documented keys, the
-        // free-slot map holds exactly the members with spare capacity,
-        // and the totals rule out stale extras.
-        let mut free_expected = 0usize;
-        for (depth, layer) in self.depth_index.iter().enumerate() {
-            let Some(evict) = self.evict_index.get(depth) else {
-                return fail(format!("no eviction index layer at depth {depth}"));
-            };
-            let Some(free) = self.free_index.get(depth) else {
-                return fail(format!("no free-slot index layer at depth {depth}"));
-            };
-            for &(id, ix) in layer {
-                let slot = self.s(ix);
-                if !evict
-                    .by_bandwidth
-                    .contains(&(bw_order_key(slot.profile.bandwidth), id))
-                {
-                    return fail(format!("{id} missing from bandwidth index at {depth}"));
-                }
-                if !evict
-                    .by_join
-                    .contains(&(join_order_key(slot.profile.join_time), id))
-                {
-                    return fail(format!("{id} missing from join-time index at {depth}"));
-                }
-                let has_free = slot.capacity > slot.children.len();
-                if has_free {
-                    free_expected += 1;
-                }
-                if free.get(&id).copied() != has_free.then_some(ix) {
-                    return fail(format!("{id} free-slot index entry wrong at {depth}"));
-                }
-            }
-        }
-        let evict_bw_total: usize = self.evict_index.iter().map(|l| l.by_bandwidth.len()).sum();
-        let evict_join_total: usize = self.evict_index.iter().map(|l| l.by_join.len()).sum();
-        if evict_bw_total != reachable || evict_join_total != reachable {
-            return fail(format!(
-                "eviction index holds {evict_bw_total}/{evict_join_total} entries but \
-                 {reachable} attached members exist"
-            ));
-        }
-        let free_total: usize = self.free_index.iter().map(BTreeMap::len).sum();
-        if free_total != free_expected {
-            return fail(format!(
-                "free-slot index holds {free_total} entries but {free_expected} attached \
-                 members have spare capacity"
-            ));
+        if let Some(order) = &self.order {
+            order.check(self)?;
         }
 
         // Attached members are exactly those reachable from the root
@@ -1863,7 +1618,7 @@ mod tests {
         t.attach(profile(3, 0.5), NodeId(1)).unwrap();
         assert_eq!(t.depth(NodeId(3)), Some(2));
         assert_eq!(t.max_depth(), 2);
-        assert_eq!(t.layer(1).collect::<Vec<_>>(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(t.attached_by_depth().collect::<Vec<_>>(), [0, 1, 2, 3].map(NodeId));
         assert_eq!(t.parent(NodeId(3)), Some(NodeId(1)));
         assert_eq!(children_of(&t, 1), vec![NodeId(3)]);
         assert_eq!(
@@ -2153,18 +1908,12 @@ mod tests {
             t.ancestors(NodeId(3)),
             vec![NodeId(2), NodeId(1), NodeId(0)]
         );
-        assert_eq!(
-            t.ancestors_iter(NodeId(3)).collect::<Vec<_>>(),
-            t.ancestors(NodeId(3))
-        );
         assert!(t.is_ancestor(NodeId(0), NodeId(3)));
         assert!(t.is_ancestor(NodeId(1), NodeId(3)));
         assert!(!t.is_ancestor(NodeId(3), NodeId(1)));
         let mut desc = t.descendants(NodeId(1));
         desc.sort();
         assert_eq!(desc, vec![NodeId(2), NodeId(3)]);
-        assert_eq!(t.subtree_size(NodeId(1)), 3);
-        assert_eq!(t.subtree_size(NodeId(99)), 0);
     }
 
     #[test]
@@ -2175,17 +1924,6 @@ mod tests {
         t.attach(profile(3, 2.0), NodeId(2)).unwrap();
         let order: Vec<NodeId> = t.attached_by_depth().collect();
         assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-    }
-
-    #[test]
-    fn mean_internal_out_degree() {
-        let mut t = tree_with_capacity(5.0);
-        assert_eq!(t.mean_internal_out_degree(), 0.0);
-        t.attach(profile(1, 2.0), NodeId(0)).unwrap();
-        t.attach(profile(2, 2.0), NodeId(0)).unwrap();
-        t.attach(profile(3, 2.0), NodeId(1)).unwrap();
-        // Root has 2 children, node 1 has 1 → mean 1.5.
-        assert_eq!(t.mean_internal_out_degree(), 1.5);
     }
 
     #[test]
@@ -2302,16 +2040,6 @@ mod tests {
             );
             let via_ix: Vec<NodeId> = t.children_ix(ix).iter().map(|&c| t.id_of(c)).collect();
             assert_eq!(via_ix, t.children(id).collect::<Vec<_>>());
-        }
-        for depth in 0..=t.max_depth() {
-            let entries: Vec<_> = t.layer_entries(depth).collect();
-            assert_eq!(
-                entries.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-                t.layer(depth).collect::<Vec<_>>()
-            );
-            for (id, ix) in entries {
-                assert_eq!(t.index_of(id), Some(ix));
-            }
         }
     }
 

@@ -40,14 +40,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply_set_bandwidth(tree: &mut MulticastTree, bw_tenths: u8, pick: u16) {
-    let mut members: Vec<NodeId> = tree.member_ids().collect();
-    members.sort();
-    if let Some(m) = pick_from(&members, pick) {
-        tree.set_bandwidth(m, f64::from(bw_tenths) / 10.0).unwrap();
-    }
-}
-
 fn pick_from(items: &[NodeId], pick: u16) -> Option<NodeId> {
     if items.is_empty() {
         None
@@ -80,62 +72,8 @@ proptest! {
     fn invariants_survive_random_mutation_sequences(ops in prop::collection::vec(op_strategy(), 1..120)) {
         let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
         let mut next_id = 1u64;
-        for op in ops {
-            match op {
-                Op::Attach { bw_tenths, pick } => {
-                    let parents = attached_with_free_slot(&tree);
-                    if let Some(parent) = pick_from(&parents, pick) {
-                        let bw = f64::from(bw_tenths) / 10.0; // 0.0 ..= 25.5
-                        tree.attach(profile(next_id, bw), parent).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Remove { pick } => {
-                    let victims: Vec<NodeId> =
-                        tree.member_ids().filter(|&n| n != tree.root()).collect();
-                    let mut victims = victims;
-                    victims.sort();
-                    if let Some(v) = pick_from(&victims, pick) {
-                        tree.remove(v).unwrap();
-                    }
-                }
-                Op::Reattach { pick, parent_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let parents = attached_with_free_slot(&tree);
-                    if let (Some(o), Some(p)) = (pick_from(&orphans, pick), pick_from(&parents, parent_pick)) {
-                        tree.reattach(o, p).unwrap();
-                    }
-                }
-                Op::Swap { pick } => {
-                    let nodes = attached_non_root(&tree);
-                    if let Some(n) = pick_from(&nodes, pick) {
-                        match tree.swap_with_parent(n, |p| p.bandwidth) {
-                            Ok(_)
-                            | Err(TreeError::NoSwitchableParent(_))
-                            | Err(TreeError::InsufficientCapacity(_)) => {}
-                            Err(e) => panic!("unexpected swap error: {e}"),
-                        }
-                    }
-                }
-                Op::Replace { bw_tenths, pick } => {
-                    let targets = attached_non_root(&tree);
-                    if let Some(t) = pick_from(&targets, pick) {
-                        let bw = f64::from(bw_tenths) / 10.0;
-                        tree.replace(t, profile(next_id, bw), |p| p.bandwidth).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Usurp { pick, evict_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let targets = attached_non_root(&tree);
-                    if let (Some(o), Some(t)) = (pick_from(&orphans, pick), pick_from(&targets, evict_pick)) {
-                        tree.usurp(t, o, |p| p.bandwidth).unwrap();
-                    }
-                }
-                Op::SetBandwidth { bw_tenths, pick } => {
-                    apply_set_bandwidth(&mut tree, bw_tenths, pick);
-                }
-            }
+        for op in &ops {
+            apply_op(&mut tree, op, &mut next_id);
             if let Err(v) = tree.check_invariants() {
                 panic!("after {:?}: {v}", tree.member_ids().count());
             }
@@ -192,54 +130,8 @@ proptest! {
     fn cached_counters_match_recomputation(ops in prop::collection::vec(op_strategy(), 1..120)) {
         let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
         let mut next_id = 1u64;
-        for op in ops {
-            match op {
-                Op::Attach { bw_tenths, pick } => {
-                    let parents = attached_with_free_slot(&tree);
-                    if let Some(parent) = pick_from(&parents, pick) {
-                        tree.attach(profile(next_id, f64::from(bw_tenths) / 10.0), parent).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Remove { pick } => {
-                    let mut victims: Vec<NodeId> =
-                        tree.member_ids().filter(|&n| n != tree.root()).collect();
-                    victims.sort();
-                    if let Some(v) = pick_from(&victims, pick) {
-                        tree.remove(v).unwrap();
-                    }
-                }
-                Op::Reattach { pick, parent_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let parents = attached_with_free_slot(&tree);
-                    if let (Some(o), Some(p)) = (pick_from(&orphans, pick), pick_from(&parents, parent_pick)) {
-                        tree.reattach(o, p).unwrap();
-                    }
-                }
-                Op::Swap { pick } => {
-                    let nodes = attached_non_root(&tree);
-                    if let Some(n) = pick_from(&nodes, pick) {
-                        let _ = tree.swap_with_parent(n, |p| p.bandwidth);
-                    }
-                }
-                Op::Replace { bw_tenths, pick } => {
-                    let targets = attached_non_root(&tree);
-                    if let Some(t) = pick_from(&targets, pick) {
-                        tree.replace(t, profile(next_id, f64::from(bw_tenths) / 10.0), |p| p.bandwidth).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Usurp { pick, evict_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let targets = attached_non_root(&tree);
-                    if let (Some(o), Some(t)) = (pick_from(&orphans, pick), pick_from(&targets, evict_pick)) {
-                        tree.usurp(t, o, |p| p.bandwidth).unwrap();
-                    }
-                }
-                Op::SetBandwidth { bw_tenths, pick } => {
-                    apply_set_bandwidth(&mut tree, bw_tenths, pick);
-                }
-            }
+        for op in &ops {
+            apply_op(&mut tree, op, &mut next_id);
             let recomputed_attached = tree
                 .member_ids()
                 .filter(|&n| tree.is_attached(n))
@@ -260,18 +152,9 @@ proptest! {
     fn depth_equals_ancestor_count(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
         let mut next_id = 1u64;
-        for op in ops {
-            if let Op::Attach { bw_tenths, pick } = op {
-                let parents = attached_with_free_slot(&tree);
-                if let Some(parent) = pick_from(&parents, pick) {
-                    tree.attach(profile(next_id, f64::from(bw_tenths) / 10.0), parent).unwrap();
-                    next_id += 1;
-                }
-            } else if let Op::Swap { pick } = op {
-                let nodes = attached_non_root(&tree);
-                if let Some(n) = pick_from(&nodes, pick) {
-                    let _ = tree.swap_with_parent(n, |p| p.bandwidth);
-                }
+        for op in &ops {
+            if matches!(op, Op::Attach { .. } | Op::Swap { .. }) {
+                apply_op(&mut tree, op, &mut next_id);
             }
             for id in tree.attached_by_depth() {
                 let depth = tree.depth(id).unwrap();
@@ -280,7 +163,7 @@ proptest! {
         }
     }
 
-    /// The ordered eviction index and the free-slot index answer exactly
+    /// The order index's eviction and free-slot probes answer exactly
     /// what an exhaustive layer scan answers, no matter how mutations
     /// interleave — including `set_bandwidth` re-keying and slot reuse
     /// after removals (`check_invariants`, run every step, additionally
@@ -288,92 +171,164 @@ proptest! {
     /// Join times span negative, zero, and positive seconds so the age
     /// probe's sign handling, clamp-at-zero ties, and id tie-breaks are
     /// all exercised at both probe times.
+    ///
+    /// An unarmed twin driven through the same ops must return the same
+    /// results and keep the same shape at every step (the index is
+    /// bookkeeping, never behaviour), and a third tree armed only after
+    /// half the ops must end with the same probe answers as the tree
+    /// armed from the start.
     #[test]
     fn eviction_probes_match_exhaustive_scans(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let mut tree = MulticastTree::new(profile(0, 4.0), 1.0);
-        let mut next_id = 1u64;
-        for op in ops {
-            match op {
-                Op::Attach { bw_tenths, pick } => {
-                    let parents = attached_with_free_slot(&tree);
-                    if let Some(parent) = pick_from(&parents, pick) {
-                        let join_secs = (next_id % 13) as f64 - 6.0;
-                        let m = MemberProfile::new(
-                            NodeId(next_id),
-                            f64::from(bw_tenths) / 10.0,
-                            SimTime::from_secs(join_secs),
-                            1e6,
-                            Location(next_id as u32),
-                        );
-                        tree.attach(m, parent).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Remove { pick } => {
-                    let mut victims: Vec<NodeId> =
-                        tree.member_ids().filter(|&n| n != tree.root()).collect();
-                    victims.sort();
-                    if let Some(v) = pick_from(&victims, pick) {
-                        tree.remove(v).unwrap();
-                    }
-                }
-                Op::Reattach { pick, parent_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let parents = attached_with_free_slot(&tree);
-                    if let (Some(o), Some(p)) = (pick_from(&orphans, pick), pick_from(&parents, parent_pick)) {
-                        tree.reattach(o, p).unwrap();
-                    }
-                }
-                Op::Swap { pick } => {
-                    let nodes = attached_non_root(&tree);
-                    if let Some(n) = pick_from(&nodes, pick) {
-                        let _ = tree.swap_with_parent(n, |p| p.bandwidth);
-                    }
-                }
-                Op::Replace { bw_tenths, pick } => {
-                    let targets = attached_non_root(&tree);
-                    if let Some(t) = pick_from(&targets, pick) {
-                        tree.replace(t, profile(next_id, f64::from(bw_tenths) / 10.0), |p| p.bandwidth).unwrap();
-                        next_id += 1;
-                    }
-                }
-                Op::Usurp { pick, evict_pick } => {
-                    let orphans: Vec<NodeId> = tree.orphan_roots().collect();
-                    let targets = attached_non_root(&tree);
-                    if let (Some(o), Some(t)) = (pick_from(&orphans, pick), pick_from(&targets, evict_pick)) {
-                        tree.usurp(t, o, |p| p.bandwidth).unwrap();
-                    }
-                }
-                Op::SetBandwidth { bw_tenths, pick } => {
-                    apply_set_bandwidth(&mut tree, bw_tenths, pick);
-                }
+        let mut armed = MulticastTree::new(profile(0, 4.0), 1.0);
+        armed.arm_order_index();
+        let mut unarmed = MulticastTree::new(profile(0, 4.0), 1.0);
+        let mut late = unarmed.clone();
+        let mut next_ids = [1u64; 3];
+        for (step, op) in ops.iter().enumerate() {
+            if step == ops.len() / 2 {
+                late.arm_order_index();
             }
-            tree.check_invariants().unwrap();
+            let outcome = apply_op(&mut armed, op, &mut next_ids[0]);
+            prop_assert_eq!(&apply_op(&mut unarmed, op, &mut next_ids[1]), &outcome);
+            prop_assert_eq!(&apply_op(&mut late, op, &mut next_ids[2]), &outcome);
+            for tree in [&armed, &unarmed, &late] {
+                tree.check_invariants().unwrap();
+            }
+            prop_assert!(unarmed.order_index().is_none());
+            prop_assert_eq!(shape(&armed), shape(&unarmed));
+
+            let index = armed.order_index().unwrap();
+            let layers = layers(&armed);
             for now in [SimTime::from_secs(0.5), SimTime::from_secs(8.0)] {
-                for depth in 0..=tree.max_depth() {
+                for (depth, layer) in layers.iter().enumerate() {
                     prop_assert_eq!(
-                        tree.weakest_by_bandwidth(depth),
-                        scan_weakest(&tree, depth, |p| p.bandwidth),
+                        index.weakest_by_bandwidth(depth),
+                        scan_weakest(&armed, layer, |p| p.bandwidth),
                         "bandwidth probe at depth {}", depth
                     );
                     prop_assert_eq!(
-                        tree.weakest_by_age(depth, now),
-                        scan_weakest(&tree, depth, |p| p.age(now)),
+                        index.weakest_by_age(depth, now),
+                        scan_weakest(&armed, layer, |p| p.age(now)),
                         "age probe at depth {} now {:?}", depth, now
                     );
                 }
             }
-            let scan_free_depth = (0..=tree.max_depth())
-                .find(|&d| tree.layer(d).any(|id| tree.has_free_slot(id)));
-            prop_assert_eq!(tree.shallowest_free_depth(), scan_free_depth);
-            for depth in 0..=tree.max_depth() {
-                let indexed: Vec<NodeId> = tree.free_slot_entries(depth).map(|(id, _)| id).collect();
+            let scan_free_depth = layers
+                .iter()
+                .position(|layer| layer.iter().any(|&id| armed.has_free_slot(id)));
+            prop_assert_eq!(index.shallowest_free_depth(), scan_free_depth);
+            for (depth, layer) in layers.iter().enumerate() {
+                let indexed: Vec<NodeId> = index.free_slot_entries(depth).map(|(id, _)| id).collect();
                 let scanned: Vec<NodeId> =
-                    tree.layer(depth).filter(|&id| tree.has_free_slot(id)).collect();
+                    layer.iter().copied().filter(|&id| armed.has_free_slot(id)).collect();
                 prop_assert_eq!(indexed, scanned, "free-slot entries at depth {}", depth);
             }
         }
+        let (early, late) = (armed.order_index().unwrap(), late.order_index().unwrap());
+        for depth in 0..=armed.max_depth() {
+            prop_assert_eq!(early.weakest_by_bandwidth(depth), late.weakest_by_bandwidth(depth));
+            for now in [SimTime::from_secs(0.5), SimTime::from_secs(8.0)] {
+                prop_assert_eq!(early.weakest_by_age(depth, now), late.weakest_by_age(depth, now));
+            }
+            prop_assert_eq!(
+                early.free_slot_entries(depth).collect::<Vec<_>>(),
+                late.free_slot_entries(depth).collect::<Vec<_>>()
+            );
+        }
+        prop_assert_eq!(early.shallowest_free_depth(), late.shallowest_free_depth());
     }
+}
+
+/// Resolves `op` against `tree` and applies it, with join times spread
+/// over negative, zero and positive seconds. Every op but a swap must
+/// succeed once resolved. Returns the operation's result in `Debug` form
+/// (`None` when the op resolved to nothing), so twins driven through the
+/// same ops can be compared.
+fn apply_op(tree: &mut MulticastTree, op: &Op, next_id: &mut u64) -> Option<String> {
+    match *op {
+        Op::Attach { bw_tenths, pick } => {
+            let parent = pick_from(&attached_with_free_slot(tree), pick)?;
+            let join_secs = (*next_id % 13) as f64 - 6.0;
+            let m = MemberProfile::new(
+                NodeId(*next_id),
+                f64::from(bw_tenths) / 10.0,
+                SimTime::from_secs(join_secs),
+                1e6,
+                Location(*next_id as u32),
+            );
+            *next_id += 1;
+            Some(format!("{:?}", tree.attach(m, parent).unwrap()))
+        }
+        Op::Remove { pick } => {
+            let mut victims: Vec<NodeId> =
+                tree.member_ids().filter(|&n| n != tree.root()).collect();
+            victims.sort();
+            let v = pick_from(&victims, pick)?;
+            Some(format!("{:?}", tree.remove(v).unwrap()))
+        }
+        Op::Reattach { pick, parent_pick } => {
+            let orphans: Vec<NodeId> = tree.orphan_roots().collect();
+            let o = pick_from(&orphans, pick)?;
+            let p = pick_from(&attached_with_free_slot(tree), parent_pick)?;
+            Some(format!("{:?}", tree.reattach(o, p).unwrap()))
+        }
+        Op::Swap { pick } => {
+            let n = pick_from(&attached_non_root(tree), pick)?;
+            let outcome = tree.swap_with_parent(n, |p| p.bandwidth);
+            match outcome {
+                Ok(_)
+                | Err(TreeError::NoSwitchableParent(_))
+                | Err(TreeError::InsufficientCapacity(_)) => {}
+                Err(e) => panic!("unexpected swap error: {e}"),
+            }
+            Some(format!("{outcome:?}"))
+        }
+        Op::Replace { bw_tenths, pick } => {
+            let t = pick_from(&attached_non_root(tree), pick)?;
+            let newcomer = profile(*next_id, f64::from(bw_tenths) / 10.0);
+            *next_id += 1;
+            Some(format!(
+                "{:?}",
+                tree.replace(t, newcomer, |p| p.bandwidth).unwrap()
+            ))
+        }
+        Op::Usurp { pick, evict_pick } => {
+            let orphans: Vec<NodeId> = tree.orphan_roots().collect();
+            let o = pick_from(&orphans, pick)?;
+            let t = pick_from(&attached_non_root(tree), evict_pick)?;
+            Some(format!("{:?}", tree.usurp(t, o, |p| p.bandwidth).unwrap()))
+        }
+        Op::SetBandwidth { bw_tenths, pick } => {
+            let mut members: Vec<NodeId> = tree.member_ids().collect();
+            members.sort();
+            let m = pick_from(&members, pick)?;
+            Some(format!(
+                "{:?}",
+                tree.set_bandwidth(m, f64::from(bw_tenths) / 10.0).unwrap()
+            ))
+        }
+    }
+}
+
+/// A member's id, parent, depth and children.
+type MemberShape = (NodeId, Option<NodeId>, Option<usize>, Vec<NodeId>);
+
+/// Every shape observation the order index could conceivably perturb.
+fn shape(t: &MulticastTree) -> (Vec<NodeId>, usize, usize, Vec<MemberShape>) {
+    let members = t.member_ids();
+    let members = members.map(|id| (id, t.parent(id), t.depth(id), t.children(id).collect()));
+    let order = t.attached_by_depth().collect();
+    (order, t.max_depth(), t.attached_count(), members.collect())
+}
+
+/// The attached members of each depth, in id order, from the
+/// breadth-first order and per-member depths.
+fn layers(tree: &MulticastTree) -> Vec<Vec<NodeId>> {
+    let mut layers = vec![Vec::new(); tree.max_depth() + 1];
+    for id in tree.attached_by_depth() {
+        layers[tree.depth(id).unwrap()].push(id);
+    }
+    layers
 }
 
 /// The pre-index eviction search body: an exhaustive scan of one layer
@@ -381,12 +336,12 @@ proptest! {
 /// `find_eviction` used.
 fn scan_weakest(
     tree: &MulticastTree,
-    depth: usize,
+    layer: &[NodeId],
     key: impl Fn(&MemberProfile) -> f64,
 ) -> Option<(f64, NodeId)> {
     let mut weakest: Option<(f64, NodeId)> = None;
-    for (cand, ix) in tree.layer_entries(depth) {
-        let k = key(tree.profile_ix(ix));
+    for &cand in layer {
+        let k = key(tree.profile(cand).unwrap());
         let better = match weakest {
             None => true,
             Some((wk, wid)) => k < wk || (k == wk && cand < wid),

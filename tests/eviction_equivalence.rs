@@ -25,8 +25,10 @@ use rom_sim::SimTime;
 
 /// The pre-index eviction search and minimum-depth fallback, extracted
 /// from `algorithms/ordered.rs` / `algorithms/mod.rs` before the indexed
-/// rewrite with only visibility adjusted. Kept as a reference model: do
-/// not "fix" or optimize this copy.
+/// rewrite with only visibility adjusted, and the layer read expressed
+/// through `attached_by_depth` and `depth` since the tree no longer keeps
+/// sorted layers. Kept as a reference model: do not "fix" or optimize
+/// this copy.
 mod old_model {
     use super::*;
 
@@ -41,10 +43,11 @@ mod old_model {
         key: impl Fn(&MemberProfile, SimTime) -> f64,
     ) -> Option<NodeId> {
         let joiner_key = key(joiner, now);
+        let attached: Vec<NodeId> = tree.attached_by_depth().collect();
         for depth in 1..=tree.max_depth() {
             let mut weakest: Option<(f64, NodeId)> = None;
-            for (cand, ix) in tree.layer_entries(depth) {
-                let k = key(tree.profile_ix(ix), now);
+            for &cand in attached.iter().filter(|&&id| tree.depth(id) == Some(depth)) {
+                let k = key(tree.profile(cand).unwrap(), now);
                 if k < joiner_key {
                     let better = match weakest {
                         None => true,
@@ -172,6 +175,7 @@ impl KeyKind {
 fn run_wall(seed: u64, kind: KeyKind, proximity: &dyn Proximity, ops: usize) {
     let source = MemberProfile::new(NodeId(0), 6.0, SimTime::ZERO, 1e12, Location(0));
     let mut tree = MulticastTree::new(source, 1.0);
+    tree.arm_order_index();
     let mut rng = Rng::new(seed);
     let mut next_id = 1u64;
     let mut switches = 0usize;
@@ -337,7 +341,7 @@ fn rejoin(
 /// Restamp equivalence: every attached member's incrementally maintained
 /// depth must equal a from-scratch recomputation (its distance to the
 /// root along parent links). `check_invariants` separately re-derives the
-/// layer, eviction, and free-slot indices from those depths.
+/// per-depth counts and the order index from those depths.
 fn assert_restamp_equivalence(tree: &MulticastTree) {
     for id in tree.attached_by_depth() {
         assert_eq!(

@@ -198,13 +198,14 @@ fn switch_ns(tree: &mut MulticastTree) -> f64 {
 /// joiner nobody loses to.
 fn eviction_ns(tree: &MulticastTree) -> f64 {
     let now = SimTime::from_secs(1e6);
+    let index = tree.order_index().expect("order index armed");
     measure(5_000, || {
         let mut acc = 0u64;
         for depth in 1..=tree.max_depth() {
-            if let Some((bw, id)) = tree.weakest_by_bandwidth(depth) {
+            if let Some((bw, id)) = index.weakest_by_bandwidth(depth) {
                 acc ^= id.0 ^ bw.to_bits();
             }
-            if let Some((age, id)) = tree.weakest_by_age(depth, now) {
+            if let Some((age, id)) = index.weakest_by_age(depth, now) {
                 acc ^= id.0 ^ age.to_bits();
             }
         }
@@ -226,6 +227,10 @@ fn eviction_ns(tree: &MulticastTree) -> f64 {
 fn hundred_k_ops_stay_within_a_fixed_multiple_of_1k() {
     let mut small = build_cursor(1_000, 1_000);
     let mut big = build_cursor(100_000, 100_000);
+    // Armed before churn, so the switches below also pay for keeping the
+    // order index current, as they do in a centralized run.
+    small.arm_order_index();
+    big.arm_order_index();
     churn(&mut small);
     churn(&mut big);
 
