@@ -844,6 +844,32 @@ impl MulticastTree {
         count
     }
 
+    /// Makes `ix`, already unlinked from its parent's child list, an
+    /// orphan subtree root with its whole subtree detached.
+    fn detach_into_orphan(&mut self, ix: NodeIndex) {
+        let slot = self.sm(ix);
+        slot.parent = NodeIndex::NIL;
+        let id = slot.id;
+        self.orphan_roots.insert(id);
+        self.restamp_subtree(ix, 0, false);
+    }
+
+    /// `members` ranked highest `priority` first, id breaking ties.
+    fn ranked(
+        &self,
+        members: impl IntoIterator<Item = NodeIndex>,
+        priority: impl Fn(&MemberProfile) -> f64,
+    ) -> Vec<(NodeId, NodeIndex)> {
+        let mut ranked: Vec<(NodeId, NodeIndex)> =
+            members.into_iter().map(|c| (self.s(c).id, c)).collect();
+        ranked.sort_by(|a, b| {
+            let pa = priority(&self.s(a.1).profile);
+            let pb = priority(&self.s(b.1).profile);
+            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
+        });
+        ranked
+    }
+
     /// Attaches a brand-new member as a leaf under `parent`.
     ///
     /// # Errors
@@ -951,10 +977,8 @@ impl MulticastTree {
 
         // Children become orphan roots; their subtrees go detached.
         let orphaned_children: Vec<NodeId> = child_ixs.iter().map(|&c| self.s(c).id).collect();
-        for (i, &c) in child_ixs.iter().enumerate() {
-            self.sm(c).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(orphaned_children[i]);
-            self.restamp_subtree(c, 0, false);
+        for &c in &child_ixs {
+            self.detach_into_orphan(c);
         }
 
         self.ids.remove(&id);
@@ -990,70 +1014,14 @@ impl MulticastTree {
         if self.contains(newcomer.id) {
             return Err(TreeError::DuplicateMember(newcomer.id));
         }
-        let eix = self
-            .index_of(evict)
-            .ok_or(TreeError::UnknownMember(evict))?;
-        let eslot = self.s(eix);
-        if !eslot.attached {
-            return Err(TreeError::UnknownMember(evict));
-        }
-        debug_assert!(
-            eslot.parent != NodeIndex::NIL,
-            "attached non-root has a parent"
-        );
-        let pix = eslot.parent;
-        let depth = eslot.depth;
-        let mut former: Vec<(NodeId, NodeIndex)> = eslot
-            .children
-            .iter()
-            .map(|&c| (self.s(c).id, c))
-            .collect();
-
+        let eix = self.attached_ix(evict)?;
+        // The newcomer enters as a detached, childless taker (never listed
+        // as an orphan root: the eviction attaches it straight away).
         let new_id = newcomer.id;
-        let new_capacity = newcomer.out_capacity(self.stream_rate);
-
-        // Rank the evictee's children: highest priority kept, id tiebreak.
-        former.sort_by(|a, b| {
-            let pa = keep_priority(&self.s(a.1).profile);
-            let pb = keep_priority(&self.s(b.1).profile);
-            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
-        });
-        let keep = former.len().min(new_capacity);
-        let (adopted_pairs, overflow_pairs) = former.split_at(keep);
-
-        // Install the newcomer and swap the parent's child pointer.
-        let nix = self.alloc(new_id, newcomer, new_capacity, pix, depth, true);
-        let siblings = &mut self.sm(pix).children;
-        let pos = siblings.iter().position(|&c| c == eix).expect("linked");
-        siblings[pos] = nix;
-        let adopted_ix: Vec<NodeIndex> = adopted_pairs.iter().map(|&(_, c)| c).collect();
-        self.sm(nix).children.extend(adopted_ix.iter().copied());
+        let capacity = newcomer.out_capacity(self.stream_rate);
+        let nix = self.alloc(new_id, newcomer, capacity, NodeIndex::NIL, 0, false);
         self.ids.insert(new_id, nix);
-        self.index_insert(nix, depth);
-        for &c in &adopted_ix {
-            self.sm(c).parent = nix;
-        }
-        // Depths below the adopted children are unchanged (same level).
-
-        // Evictee becomes a childless orphan root.
-        let eslot = self.sm(eix);
-        eslot.parent = NodeIndex::NIL;
-        eslot.children.clear();
-        eslot.attached = false;
-        self.index_remove(eix, depth);
-        self.orphan_roots.insert(evict);
-
-        // Overflow children become orphan subtree roots.
-        for &(cid, c) in overflow_pairs {
-            self.sm(c).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(cid);
-            self.restamp_subtree(c, 0, false);
-        }
-
-        let mut displaced = vec![evict];
-        displaced.extend(overflow_pairs.iter().map(|&(cid, _)| cid));
-        let adopted = adopted_pairs.iter().map(|&(cid, _)| cid).collect();
-        Ok(ReplaceOutcome { displaced, adopted })
+        Ok(self.take_position(eix, nix, keep_priority))
     }
 
     /// Like [`replace`](Self::replace), but the usurper is an existing
@@ -1080,76 +1048,73 @@ impl MulticastTree {
         if !self.orphan_roots.contains(&usurper) {
             return Err(TreeError::NotAnOrphan(usurper));
         }
-        let eix = self
-            .index_of(evict)
-            .ok_or(TreeError::UnknownMember(evict))?;
-        let eslot = self.s(eix);
-        if !eslot.attached {
-            return Err(TreeError::UnknownMember(evict));
+        let eix = self.attached_ix(evict)?;
+        let uix = self.index_of(usurper).expect("orphan exists");
+        Ok(self.take_position(eix, uix, keep_priority))
+    }
+
+    /// The index of `id` if it is an attached member.
+    fn attached_ix(&self, id: NodeId) -> Result<NodeIndex, TreeError> {
+        match self.index_of(id) {
+            Some(ix) if self.s(ix).attached => Ok(ix),
+            _ => Err(TreeError::UnknownMember(id)),
         }
+    }
+
+    /// The eviction surgery behind [`replace`](Self::replace) and
+    /// [`usurp`](Self::usurp): the detached `taker` takes the attached
+    /// non-root `eix`'s place, adopts as many of its children as the
+    /// taker's spare slots allow (highest `keep_priority` first), and the
+    /// evictee plus the overflow become orphan roots.
+    fn take_position(
+        &mut self,
+        eix: NodeIndex,
+        taker: NodeIndex,
+        keep_priority: impl Fn(&MemberProfile) -> f64,
+    ) -> ReplaceOutcome {
+        let eslot = self.s(eix);
         debug_assert!(
             eslot.parent != NodeIndex::NIL,
             "attached non-root has a parent"
         );
+        let evict = eslot.id;
         let pix = eslot.parent;
         let depth = eslot.depth;
-        let mut former: Vec<(NodeId, NodeIndex)> = eslot
-            .children
-            .iter()
-            .map(|&c| (self.s(c).id, c))
-            .collect();
-
-        let uix = self.index_of(usurper).expect("orphan exists");
-        let spare = self.free_slots_ix(uix);
+        let former = self.ranked(eslot.children.clone(), keep_priority);
+        let keep = former.len().min(self.free_slots_ix(taker));
+        let (adopted_pairs, overflow_pairs) = former.split_at(keep);
 
         // Swap the parent's child pointer.
         let siblings = &mut self.sm(pix).children;
         let pos = siblings.iter().position(|&c| c == eix).expect("linked");
-        siblings[pos] = uix;
+        siblings[pos] = taker;
+        self.sm(taker).parent = pix;
+        let taker_id = self.s(taker).id;
+        self.orphan_roots.remove(&taker_id);
 
-        former.sort_by(|a, b| {
-            let pa = keep_priority(&self.s(a.1).profile);
-            let pb = keep_priority(&self.s(b.1).profile);
-            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
-        });
-        let keep = former.len().min(spare);
-        let (adopted_pairs, overflow_pairs) = former.split_at(keep);
-        let adopted_ix: Vec<NodeIndex> = adopted_pairs.iter().map(|&(_, c)| c).collect();
-
-        {
-            let u = self.sm(uix);
-            u.parent = pix;
-            u.children.extend(adopted_ix.iter().copied());
-        }
-        self.orphan_roots.remove(&usurper);
-        for &c in &adopted_ix {
-            self.sm(c).parent = uix;
+        // The evictee becomes a childless orphan root.
+        self.sm(eix).children.clear();
+        self.detach_into_orphan(eix);
+        for &(_, c) in overflow_pairs {
+            self.detach_into_orphan(c);
         }
 
-        // Evictee becomes a childless orphan root.
-        {
-            let e = self.sm(eix);
-            e.parent = NodeIndex::NIL;
-            e.children.clear();
-            e.attached = false;
+        // Only the taker's own subtree changes depth; the adopted subtrees
+        // stay at theirs, so they are linked after the restamp and the
+        // taker's free-slot entry is settled once they are.
+        self.restamp_subtree(taker, depth, true);
+        for &(_, c) in adopted_pairs {
+            self.sm(c).parent = taker;
         }
-        self.index_remove(eix, depth);
-        self.orphan_roots.insert(evict);
-
-        for &(cid, c) in overflow_pairs {
-            self.sm(c).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(cid);
-            self.restamp_subtree(c, 0, false);
-        }
-
-        // The usurper's whole subtree (its old children plus the adopted
-        // ones) becomes attached at the evictee's former depth.
-        self.restamp_subtree(uix, depth, true);
+        self.sm(taker)
+            .children
+            .extend(adopted_pairs.iter().map(|&(_, c)| c));
+        self.refresh_free_slot(taker);
 
         let mut displaced = vec![evict];
         displaced.extend(overflow_pairs.iter().map(|&(cid, _)| cid));
         let adopted = adopted_pairs.iter().map(|&(cid, _)| cid).collect();
-        Ok(ReplaceOutcome { displaced, adopted })
+        ReplaceOutcome { displaced, adopted }
     }
 
     /// ROST's switching operation (§3.3, Fig. 2): `child` exchanges
@@ -1189,11 +1154,7 @@ impl MulticastTree {
             return Err(TreeError::NoSwitchableParent(child));
         }
         let child_capacity = cslot.capacity;
-        let child_children: Vec<(NodeId, NodeIndex)> = cslot
-            .children
-            .iter()
-            .map(|&c| (self.s(c).id, c))
-            .collect();
+        let child_children = cslot.children.clone();
         let pslot = self.s(pix);
         let parent = pslot.id;
         debug_assert!(
@@ -1204,11 +1165,11 @@ impl MulticastTree {
         let parent_capacity = pslot.capacity;
         let parent_depth = pslot.depth;
         // Former siblings of the child (they will follow the promoted node).
-        let siblings: Vec<(NodeId, NodeIndex)> = pslot
+        let siblings: Vec<NodeIndex> = pslot
             .children
             .iter()
-            .filter(|&&c| c != cix)
-            .map(|&c| (self.s(c).id, c))
+            .copied()
+            .filter(|&c| c != cix)
             .collect();
 
         if child_capacity == 0 {
@@ -1221,12 +1182,7 @@ impl MulticastTree {
         // siblings fit, because |siblings| + 1 ≤ parent capacity ≤ child
         // capacity; without the guard the lowest-priority siblings are
         // displaced to keep the tree legal.
-        let mut ranked_siblings = siblings;
-        ranked_siblings.sort_by(|a, b| {
-            let pa = priority(&self.s(a.1).profile);
-            let pb = priority(&self.s(b.1).profile);
-            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
-        });
+        let ranked_siblings = self.ranked(siblings, &priority);
         let sibling_keep = ranked_siblings.len().min(child_capacity - 1);
         let (followed, displaced_siblings) = ranked_siblings.split_at(sibling_keep);
 
@@ -1234,12 +1190,7 @@ impl MulticastTree {
         // the lowest-priority ones, the highest-priority spill to the
         // promoted node's spare slots (paper: "chooses f, the node with the
         // largest BTP, and reconnects to node b").
-        let mut ranked = child_children;
-        ranked.sort_by(|a, b| {
-            let pa = priority(&self.s(a.1).profile);
-            let pb = priority(&self.s(b.1).profile);
-            pb.total_cmp(&pa).then_with(|| a.0.cmp(&b.0))
-        });
+        let ranked = self.ranked(child_children, &priority);
         let keep_count = ranked.len().min(parent_capacity);
         let spill_count = ranked.len() - keep_count;
         let (spilled, kept) = ranked.split_at(spill_count);
@@ -1297,10 +1248,8 @@ impl MulticastTree {
         for &(_, t) in to_promoted {
             self.sm(t).parent = cix;
         }
-        for &(did, d) in &displaced {
-            self.sm(d).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(did);
-            self.restamp_subtree(d, 0, false);
+        for &(_, d) in &displaced {
+            self.detach_into_orphan(d);
         }
 
         // Depths: a switch only perturbs depths by ±1 inside known
@@ -1378,10 +1327,8 @@ impl MulticastTree {
             order.rekey_bandwidth(id, depth, old_bandwidth, bandwidth);
         }
         let shed: Vec<NodeId> = shed_ix.iter().map(|&c| self.s(c).id).collect();
-        for (i, &c) in shed_ix.iter().enumerate() {
-            self.sm(c).parent = NodeIndex::NIL;
-            self.orphan_roots.insert(shed[i]);
-            self.restamp_subtree(c, 0, false);
+        for &c in &shed_ix {
+            self.detach_into_orphan(c);
         }
         if attached {
             self.refresh_free_slot(ix);
@@ -1398,9 +1345,7 @@ impl MulticastTree {
         assert!(pix != NodeIndex::NIL, "test node has a parent");
         self.sm(pix).children.retain(|&c| c != ix);
         self.refresh_free_slot(pix);
-        self.sm(ix).parent = NodeIndex::NIL;
-        self.orphan_roots.insert(id);
-        self.restamp_subtree(ix, 0, false);
+        self.detach_into_orphan(ix);
     }
 
     /// Verifies every structural invariant; used by tests and property
