@@ -58,34 +58,43 @@ fn load(path: &str) -> Baseline {
     }
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: perf_smoke --baseline <committed.json> --fresh <new.json> [--tolerance 0.20]"
+    );
+    std::process::exit(2);
+}
+
+/// A tolerance must parse and lie in [0, 1). NaN is refused with the
+/// rest: it would make the floor comparison false, so the gate could
+/// never fail.
+fn parse_tolerance(raw: Option<String>) -> f64 {
+    match raw.and_then(|v| v.parse::<f64>().ok()) {
+        Some(t) if (0.0..1.0).contains(&t) => t,
+        _ => usage(),
+    }
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut baseline_path = String::from("BENCH_headline.json");
-    let mut fresh_path = String::new();
-    let mut tolerance = std::env::var("ROM_PERF_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(0.20);
+    let mut fresh_path = None;
+    let mut tolerance = match std::env::var("ROM_PERF_TOLERANCE") {
+        Ok(raw) => parse_tolerance(Some(raw)),
+        Err(_) => 0.20,
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--baseline" => baseline_path = args.next().unwrap_or_default(),
-            "--fresh" => fresh_path = args.next().unwrap_or_default(),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(tolerance);
-            }
+            "--baseline" => baseline_path = args.next().unwrap_or_else(|| usage()),
+            "--fresh" => fresh_path = Some(args.next().unwrap_or_else(|| usage())),
+            "--tolerance" => tolerance = parse_tolerance(args.next()),
             other => {
                 eprintln!("error: unknown argument {other}");
                 std::process::exit(2);
             }
         }
     }
-    if fresh_path.is_empty() {
-        eprintln!("usage: perf_smoke --baseline <committed.json> --fresh <new.json> [--tolerance 0.20]");
-        std::process::exit(2);
-    }
+    let Some(fresh_path) = fresh_path else { usage() };
 
     let committed = load(&baseline_path);
     let fresh = load(&fresh_path);

@@ -40,3 +40,24 @@ fn non_numeric_fail_above_is_a_usage_error() {
     assert_usage_exit(&run(bin, &["diff", "a", "b", "--fail-above", "inf"]));
     assert_usage_exit(&run(bin, &["diff", "a", "b", "--fail-above", "-5"]));
 }
+
+#[test]
+fn bad_perf_smoke_tolerance_or_missing_path_is_a_usage_error() {
+    let bin = env!("CARGO_BIN_EXE_perf_smoke");
+    let smoke = |args: &[&str], env_tolerance: Option<&str>| {
+        let mut cmd = Command::new(bin);
+        cmd.args(args).current_dir(env!("CARGO_TARGET_TMPDIR"));
+        match env_tolerance {
+            Some(value) => cmd.env("ROM_PERF_TOLERANCE", value),
+            None => cmd.env_remove("ROM_PERF_TOLERANCE"),
+        };
+        cmd.output().expect("perf_smoke starts")
+    };
+    for tolerance in ["nan", "NaN", "fast", "-0.1", "1", "1.5", "inf"] {
+        assert_usage_exit(&smoke(&["--fresh", "f.json", "--tolerance", tolerance], None));
+        assert_usage_exit(&smoke(&["--fresh", "f.json"], Some(tolerance)));
+    }
+    assert_usage_exit(&smoke(&["--fresh", "f.json", "--tolerance"], None));
+    assert_usage_exit(&smoke(&["--fresh"], None));
+    assert_usage_exit(&smoke(&["--fresh", "f.json", "--baseline"], None));
+}
