@@ -5,7 +5,8 @@ use std::collections::BTreeMap;
 
 use rom::chaos::{InvariantRegistry, Scenario};
 use rom::engine::{
-    AlgorithmKind, ChurnConfig, ChurnSim, ObserverSpec, StreamingConfig, StreamingSim,
+    AlgorithmKind, ChurnConfig, ChurnSim, ObserverSpec, RecoveryStrategy, StreamingConfig,
+    StreamingSim,
 };
 use rom::obs::{fnv1a, FieldValue, JsonlSink, Obs, RingSink, SharedBuffer, Tracer};
 use rom::stats::BoundedPareto;
@@ -129,6 +130,70 @@ fn streaming_report_digests_match_golden_through_every_run_method() {
         }
     }
     assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+/// The single-source baseline (Fig. 14) and the two loss-free link
+/// episodes armed in the streaming layer: capacity shaping and bloat
+/// spikes reach only the repair traffic of outages that close while the
+/// episode is armed.
+fn repair_paths() -> [(&'static str, StreamingConfig); 3] {
+    let mut single = StreamingConfig::paper(quick(AlgorithmKind::MinimumDepth, 2), 2);
+    single.strategy = RecoveryStrategy::SingleSource;
+    let episode = |name: &str| {
+        let mut churn = quick(AlgorithmKind::Rost, 2);
+        churn.chaos = Scenario::by_name(name, 180.0, 300.0);
+        StreamingConfig::paper(churn, 2)
+    };
+    [
+        ("single-source", single),
+        ("capacity-ramp", episode("capacity-ramp")),
+        ("bufferbloat", episode("bufferbloat")),
+    ]
+}
+
+const REPAIR_PATH_GOLDEN: [(&str, u64); 3] = [
+    ("single-source", 0xd2a57450c715395d),
+    ("capacity-ramp", 0x1358fc73b92cc0a2),
+    ("bufferbloat", 0x9f2e9f7b2880adc0),
+];
+
+#[test]
+fn repair_path_report_digests_match_golden_through_every_run_method() {
+    let mut mismatches = Vec::new();
+    for ((name, golden), (cfg_name, cfg)) in REPAIR_PATH_GOLDEN.into_iter().zip(repair_paths()) {
+        assert_eq!(name, cfg_name);
+        for mode in MODES {
+            let got = streaming_digest(cfg.clone(), mode);
+            if got != golden {
+                mismatches.push(format!("{name} {mode:?}: {got:#018x}"));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+/// Each link episode must reach a repair: its streaming outcome differs
+/// from the same run without the scenario (the chaos events alone would
+/// already move the churn half of the report).
+#[test]
+fn link_episodes_reach_outage_repairs() {
+    let streaming_part = |cfg: StreamingConfig| {
+        let r = StreamingSim::new(cfg).run();
+        digest(&(
+            r.starving_ratio_percent,
+            r.outages,
+            r.packets_repaired_on_time,
+            r.packets_starved,
+        ))
+    };
+    let baseline = streaming_part(StreamingConfig::paper(quick(AlgorithmKind::Rost, 2), 2));
+    for (name, cfg) in repair_paths().into_iter().skip(1) {
+        assert_ne!(
+            streaming_part(cfg),
+            baseline,
+            "{name} never reached a repair"
+        );
+    }
 }
 
 /// Chaos, graceful hand-offs and the tracked observer in one run, so the
