@@ -19,11 +19,11 @@
 //! — including the CSV on stdout — is byte-identical at any worker
 //! count and across repeated runs of the same seed.
 
-use rom_bench::{default_jobs, run_manifest, CellOut, CellTrace, Sweep};
-use rom_chaos::{ChaosAction, Injection, InvariantRegistry, Scenario};
-use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig, StreamingSim};
-use rom_obs::{fnv1a, HealthSink, JsonlSink, Obs, Prof, SharedBuffer, Tracer};
-use std::time::Instant;
+use rom_bench::{
+    default_jobs, instrumented_cell, write_sidecars, CellOut, CheckedStreaming, Sidecars, Sweep,
+};
+use rom_chaos::{ChaosAction, Injection, Scenario};
+use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
 
 /// The burst-factor grid; β = 1 is the uniform-loss control.
 const BETAS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
@@ -36,8 +36,7 @@ struct Args {
     seed: u64,
     paper: bool,
     jobs: usize,
-    trace: Option<String>,
-    profile: Option<String>,
+    sidecars: Sidecars,
 }
 
 fn usage() -> ! {
@@ -50,8 +49,7 @@ fn parse_args() -> Args {
         seed: 42,
         paper: false,
         jobs: default_jobs(),
-        trace: None,
-        profile: None,
+        sidecars: Sidecars::none(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -70,8 +68,14 @@ fn parse_args() -> Args {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
             }
-            "--trace" => parsed.trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--profile" => parsed.profile = Some(args.next().unwrap_or_else(|| usage())),
+            "--trace" => {
+                let path = args.next().unwrap_or_else(|| usage());
+                parsed.sidecars.trace = Some(Box::leak(path.into_boxed_str()));
+            }
+            "--profile" => {
+                let path = args.next().unwrap_or_else(|| usage());
+                parsed.sidecars.profile = Some(Box::leak(path.into_boxed_str()));
+            }
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -104,72 +108,29 @@ fn main() {
         (250, 450.0, 600.0)
     };
 
-    let name = "fig_burst".to_string();
-    let out = Sweep::with_jobs(args.jobs).run(BETAS.len(), 1, |cell| {
-        let beta = BETAS[cell.point];
+    let name = "fig_burst";
+    let mut out = Sweep::with_jobs(args.jobs).run(BETAS.len(), 1, |cell| {
         let mut churn = if args.paper {
             ChurnConfig::paper(AlgorithmKind::Rost, size)
         } else {
             ChurnConfig::quick(AlgorithmKind::Rost, size)
         }
         .with_seed(args.seed);
-        churn.chaos = Some(burst_scenario(start_secs, span_secs, beta));
-        let cfg = StreamingConfig::paper(churn, 2);
-        let config_digest = fnv1a(format!("{cfg:?}").as_bytes());
-
-        let registry = InvariantRegistry::with_all();
-        let (obs, pipe) = if args.trace.is_some() {
-            let buffer = SharedBuffer::new();
-            let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-            let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-            (obs, Some((buffer, health)))
-        } else {
-            (Obs::metrics_only(), None)
-        };
-        let prof = if args.profile.is_some() {
-            Prof::enabled()
-        } else {
-            Prof::disabled()
-        };
-        let started = Instant::now();
-        let (report, registry, obs) =
-            StreamingSim::new(cfg).run_checked(registry, obs.with_prof(prof));
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let trace = pipe.map(|(buffer, health)| CellTrace {
-            jsonl: buffer.contents(),
-            metrics_json: obs.snapshot().to_json(),
-            manifest: run_manifest(
-                "fig_burst",
-                args.seed,
-                config_digest,
-                &obs,
-                report.events_processed(),
-                report.outcome(),
-            ),
-            health: Some(health.to_jsonl()),
-        });
-        let profile = obs
-            .prof()
-            .report()
-            .map(|r| r.to_json("fig_burst", args.seed, report.events_processed(), wall_ns));
+        churn.chaos = Some(burst_scenario(start_secs, span_secs, BETAS[cell.point]));
+        let cfg = CheckedStreaming(StreamingConfig::paper(churn, 2));
+        let (report, trace, profile) = instrumented_cell(name, cfg, args.seed, args.sidecars);
         CellOut {
-            report: (report, registry),
+            report,
             warnings: Vec::new(),
             trace,
             profile,
         }
     });
     // Every cell ran the user's --seed; the grid point already encodes β.
-    let mut out = out;
     for (id, _) in &mut out.traces {
         id.seed = args.seed;
     }
-    if let Some(path) = args.trace.as_deref() {
-        out.write_trace(path, &name);
-    }
-    if let Some(path) = args.profile.as_deref() {
-        out.write_profile(path);
-    }
+    write_sidecars(&out, name, args.sidecars);
 
     println!(
         "# fig_burst — GE burst factor sweep at matched {:.0}% average loss \

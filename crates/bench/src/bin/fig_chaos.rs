@@ -20,19 +20,18 @@
 //! profile (the only artifact carrying wall-clock time) lands at the
 //! given path.
 
-use rom_bench::{default_jobs, run_manifest, CellOut, CellTrace, Sweep};
-use rom_chaos::{InvariantRegistry, Scenario};
-use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig, StreamingSim};
-use rom_obs::{fnv1a, HealthSink, JsonlSink, Obs, Prof, SharedBuffer, Tracer};
-use std::time::Instant;
+use rom_bench::{
+    default_jobs, instrumented_cell, write_sidecars, CellOut, CheckedStreaming, Sidecars, Sweep,
+};
+use rom_chaos::Scenario;
+use rom_engine::{AlgorithmKind, ChurnConfig, StreamingConfig};
 
 struct Args {
     scenario: String,
     seed: u64,
     paper: bool,
     jobs: usize,
-    trace: Option<String>,
-    profile: Option<String>,
+    sidecars: Sidecars,
 }
 
 fn usage() -> ! {
@@ -48,8 +47,7 @@ fn parse_args() -> Args {
         seed: 42,
         paper: false,
         jobs: default_jobs(),
-        trace: None,
-        profile: None,
+        sidecars: Sidecars::none(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -69,8 +67,14 @@ fn parse_args() -> Args {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
             }
-            "--trace" => parsed.trace = Some(args.next().unwrap_or_else(|| usage())),
-            "--profile" => parsed.profile = Some(args.next().unwrap_or_else(|| usage())),
+            "--trace" => {
+                let path = args.next().unwrap_or_else(|| usage());
+                parsed.sidecars.trace = Some(Box::leak(path.into_boxed_str()));
+            }
+            "--profile" => {
+                let path = args.next().unwrap_or_else(|| usage());
+                parsed.sidecars.profile = Some(Box::leak(path.into_boxed_str()));
+            }
             "--list" => {
                 for name in Scenario::NAMES {
                     println!("{name}");
@@ -112,49 +116,19 @@ fn main() {
     let injections = scenario.injections.len();
     churn.chaos = Some(scenario);
     let cfg = StreamingConfig::paper(churn, 2);
-    let config_digest = fnv1a(format!("{cfg:?}").as_bytes());
     let name = format!("fig_chaos:{}", args.scenario);
 
     // A single checked cell through the sweep engine, so the trace
     // artifacts merge and land exactly like every other binary's.
     let mut out = Sweep::with_jobs(args.jobs).run(1, 1, |_cell| {
-        let registry = InvariantRegistry::with_all();
-        let (obs, pipe) = if args.trace.is_some() {
-            let buffer = SharedBuffer::new();
-            let (sink, health) = HealthSink::new(JsonlSink::new(buffer.clone()));
-            let obs = Obs::new(Tracer::to_sink(Box::new(sink)));
-            (obs, Some((buffer, health)))
-        } else {
-            (Obs::metrics_only(), None)
-        };
-        let prof = if args.profile.is_some() {
-            Prof::enabled()
-        } else {
-            Prof::disabled()
-        };
-        let started = Instant::now();
-        let (report, registry, obs) =
-            StreamingSim::new(cfg.clone()).run_checked(registry, obs.with_prof(prof));
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let trace = pipe.map(|(buffer, health)| CellTrace {
-            jsonl: buffer.contents(),
-            metrics_json: obs.snapshot().to_json(),
-            manifest: run_manifest(
-                &name,
-                args.seed,
-                config_digest,
-                &obs,
-                report.events_processed(),
-                report.outcome(),
-            ),
-            health: Some(health.to_jsonl()),
-        });
-        let profile = obs
-            .prof()
-            .report()
-            .map(|r| r.to_json(&name, args.seed, report.events_processed(), wall_ns));
+        let (report, trace, profile) = instrumented_cell(
+            &name,
+            CheckedStreaming(cfg.clone()),
+            args.seed,
+            args.sidecars,
+        );
         CellOut {
-            report: (report, registry),
+            report,
             warnings: Vec::new(),
             trace,
             profile,
@@ -165,12 +139,7 @@ fn main() {
     for (id, _) in &mut out.traces {
         id.seed = args.seed;
     }
-    if let Some(path) = args.trace.as_deref() {
-        out.write_trace(path, &name);
-    }
-    if let Some(path) = args.profile.as_deref() {
-        out.write_profile(path);
-    }
+    write_sidecars(&out, &name, args.sidecars);
     let (report, registry) = out
         .into_single_point()
         .into_iter()

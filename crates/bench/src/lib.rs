@@ -32,6 +32,7 @@ mod sweep;
 pub use jsonv::Json;
 pub use sweep::{CellId, CellOut, CellTrace, Sweep, SweepOutput};
 
+use rom_chaos::InvariantRegistry;
 use rom_engine::{AlgorithmKind, ChurnConfig, ChurnSim, StreamingConfig, StreamingSim};
 use rom_engine::{ChurnReport, StreamingReport};
 use rom_obs::{
@@ -271,6 +272,33 @@ impl CellConfig for StreamingConfig {
         report.events_processed()
     }
     fn outcome(report: &StreamingReport) -> RunOutcome {
+        report.outcome()
+    }
+}
+
+/// A streaming configuration run with every invariant armed (see
+/// [`StreamingSim::run_checked`]): the report carries the registry so the
+/// caller can list and fail on violations. It formats as the inner
+/// configuration, so config digests and manifests match an unchecked run.
+pub struct CheckedStreaming(pub StreamingConfig);
+
+impl std::fmt::Debug for CheckedStreaming {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl CellConfig for CheckedStreaming {
+    type Report = (StreamingReport, InvariantRegistry);
+    fn run_with_obs(self, obs: Obs) -> (Self::Report, Obs) {
+        let (report, registry, obs) =
+            StreamingSim::new(self.0).run_checked(InvariantRegistry::with_all(), obs);
+        ((report, registry), obs)
+    }
+    fn events_processed((report, _): &Self::Report) -> u64 {
+        report.events_processed()
+    }
+    fn outcome((report, _): &Self::Report) -> RunOutcome {
         report.outcome()
     }
 }
