@@ -3,26 +3,27 @@
 # when machine-normalized throughput drops more than ROM_PERF_TOLERANCE
 # (default 0.20) below the committed BENCH_headline.json baseline. See
 # crates/bench/src/bin/perf_smoke.rs for the normalization details.
-# Also refreshes BENCH_tree.json (JSON-only fast path, no criterion
+# Also re-measures BENCH_tree.json (JSON-only fast path, no criterion
 # statistics) and enforces the indexed-switch budget: the per-op switch
 # cost must stay within 20 µs at 10k members (the pre-index full-subtree
 # restamp cost ~1.8 ms there) and sub-linear from 10k to 100k.
+# Both BENCH files are rewritten in place while the smoke runs and are
+# restored on exit, so the committed baselines are never overwritten.
 set -eu
 cd "$(dirname "$0")/.."
 
 tolerance="${ROM_PERF_TOLERANCE:-0.20}"
 baseline="${ROM_PERF_BASELINE:-BENCH_headline.json}"
 
-saved="$(mktemp)"
-trap 'rm -f "$saved"' EXIT
-cp "$baseline" "$saved"
+saved="$(mktemp -d)"
+cp BENCH_headline.json BENCH_tree.json "$saved"
+trap 'cp "$saved/BENCH_headline.json" "$saved/BENCH_tree.json" . && rm -rf "$saved"' EXIT
+cp "$baseline" "$saved/baseline.json"
 
-# headline_claims rewrites BENCH_headline.json in place; the committed
-# numbers are already safe in $saved.
 cargo run -q --release -p rom-bench --bin headline_claims -- --jobs 1 > /dev/null
 
 cargo run -q --release -p rom-bench --bin perf_smoke -- \
-  --baseline "$saved" --fresh BENCH_headline.json --tolerance "$tolerance"
+  --baseline "$saved/baseline.json" --fresh BENCH_headline.json --tolerance "$tolerance"
 
 # Tree-core switch bound. The 20 µs absolute budget carries ~70x headroom
 # over the measured cost, so machine speed cannot trip it while the old
