@@ -1,7 +1,9 @@
 //! Integration tests for the streaming experiments' headline shapes
 //! (Figs. 12–14) at reduced scale.
 
+use rom::chaos::{ChaosAction, Injection, Scenario};
 use rom::engine::{AlgorithmKind, ChurnConfig, RecoveryStrategy, StreamingConfig, StreamingSim};
+use rom::obs::{FieldValue, Obs, RingSink, Tracer};
 
 fn config(
     algorithm: AlgorithmKind,
@@ -137,4 +139,53 @@ fn streaming_accounting_is_consistent() {
     assert!(report.starving_ratio_percent.max() <= 100.0);
     // The churn substrate beneath is intact.
     assert!(report.churn.population.mean() > 100.0);
+}
+
+/// Link losses are repaired as each one is detected: a helper's queue
+/// drains between losses, and it checks its repair cache when the request
+/// reaches it. So the on-time share of link-episode repairs holds up when
+/// the episode outlasts the 120 s repair cache.
+#[test]
+fn link_repairs_stay_on_time_when_episodes_outlast_the_cache() {
+    let on_time_share = |duration_secs: f64| {
+        let mut churn = ChurnConfig::quick(AlgorithmKind::Rost, 250);
+        churn.seed = 1;
+        churn.warmup_secs = 150.0;
+        churn.measure_secs = 600.0;
+        churn.chaos = Some(Scenario {
+            name: "uniform-link-loss",
+            injections: vec![Injection {
+                at_secs: 200.0,
+                action: ChaosAction::BurstyLoss {
+                    fraction: 0.3,
+                    avg_loss: 0.1,
+                    burst_factor: 1.0,
+                    duration_secs,
+                },
+            }],
+        });
+        let (sink, handle) = RingSink::new(1 << 20);
+        let _ = StreamingSim::new(StreamingConfig::paper(churn, 2))
+            .run_with_obs(Obs::new(Tracer::to_sink(Box::new(sink))));
+        let (mut repaired, mut starved) = (0u64, 0u64);
+        for event in handle.events() {
+            if event.kind != "link_episode_end" {
+                continue;
+            }
+            if let (Some(&FieldValue::U64(r)), Some(&FieldValue::U64(s))) =
+                (event.fields.get("repaired"), event.fields.get("starved"))
+            {
+                repaired += r;
+                starved += s;
+            }
+        }
+        assert!(repaired + starved > 0, "the episode must lose packets");
+        repaired as f64 / (repaired + starved) as f64
+    };
+    let short = on_time_share(60.0);
+    let long = on_time_share(360.0);
+    assert!(
+        long > 0.8 * short,
+        "on-time share fell from {short:.3} (60 s episode) to {long:.3} (360 s)"
+    );
 }
