@@ -20,9 +20,9 @@
 //!
 //! None of the models owns randomness: [`GilbertElliott::classify`]
 //! consumes a caller-supplied uniform draw and everything else is a pure
-//! function of sim time. The callers (the wire harness's `LinkChaos`,
-//! the engine's streaming layer) draw from their dedicated chaos RNG
-//! forks, so pathology stays seed-deterministic and jobs-invariant.
+//! function of sim time. The caller (the engine's streaming layer)
+//! draws from its dedicated `chaos-link` RNG fork, so pathology stays
+//! seed-deterministic and jobs-invariant.
 
 /// A two-state Gilbert–Elliott bursty-loss chain.
 ///
@@ -104,8 +104,8 @@ impl GilbertElliott {
     /// At `burst_factor = 1` both probabilities equal `avg_loss`
     /// **exactly** (bit-for-bit, by construction of the formula), so the
     /// degenerate chain reproduces independent uniform loss draw for
-    /// draw — the differential guarantee the `LinkChaos` baseline
-    /// depends on.
+    /// draw — the guarantee the streaming layer's β=1 episodes depend
+    /// on.
     ///
     /// # Panics
     ///
@@ -412,7 +412,7 @@ impl CapacityTrace {
 /// queue bloats for `span` units, adding `extra` units of latency to
 /// everything crossing it. Pure function of the offset since armed; the
 /// unit is whatever clock the caller advances on (seconds in the
-/// engine, delivery steps in the wire harness).
+/// engine).
 ///
 /// # Examples
 ///

@@ -21,7 +21,6 @@
 //! | [`rost`] | `rom-rost` | BTP switching, locks, referees |
 //! | [`cer`] | `rom-cer` | MLC groups, ELN, striped repair, buffers |
 //! | [`engine`] | `rom-engine` | churn & streaming simulators, experiment configs |
-//! | [`wire`] | `rom-wire` | protocol messages, binary codec, in-memory peer harness |
 //! | [`chaos`] | `rom-chaos` | fault-injection scenarios, runtime invariant registry |
 //!
 //! # Quickstart
@@ -54,4 +53,3 @@ pub use rom_overlay as overlay;
 pub use rom_rost as rost;
 pub use rom_sim as sim;
 pub use rom_stats as stats;
-pub use rom_wire as wire;
