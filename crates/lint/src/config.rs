@@ -22,50 +22,6 @@ pub struct Config {
     pub rule_exempt: BTreeMap<Rule, Vec<String>>,
 }
 
-impl Default for Config {
-    /// The workspace policy, mirrored in the checked-in `lint.toml`.
-    fn default() -> Self {
-        let mut rule_crates = BTreeMap::new();
-        rule_crates.insert(
-            Rule::UnorderedCollections,
-            ["sim", "obs", "engine", "rost", "cer", "overlay"]
-                .map(String::from)
-                .to_vec(),
-        );
-        rule_crates.insert(
-            Rule::PanicSites,
-            ["rost", "cer", "wire"].map(String::from).to_vec(),
-        );
-        rule_crates.insert(
-            Rule::StaleArenaIndex,
-            ["overlay", "rost", "cer", "engine", "chaos"]
-                .map(String::from)
-                .to_vec(),
-        );
-        rule_crates.insert(
-            Rule::SendHostileState,
-            ["sim", "engine", "rost", "cer", "chaos", "overlay"]
-                .map(String::from)
-                .to_vec(),
-        );
-        let mut rule_exempt = BTreeMap::new();
-        rule_exempt.insert(Rule::AmbientEntropy, vec!["bench".to_string()]);
-        rule_exempt.insert(
-            Rule::RngForkDiscipline,
-            vec!["sim".to_string(), "bench".to_string()],
-        );
-        rule_exempt.insert(Rule::WallClockDiscipline, vec!["bench".to_string()]);
-        Config {
-            roots: ["crates", "src", "examples", "tests"]
-                .map(String::from)
-                .to_vec(),
-            exclude: vec!["crates/lint/fixtures".to_string()],
-            rule_crates,
-            rule_exempt,
-        }
-    }
-}
-
 /// A `lint.toml` syntax or semantics error.
 #[derive(Debug, Clone)]
 pub struct ConfigError {
@@ -271,13 +227,13 @@ crates = ["rost"]
     }
 
     #[test]
-    fn default_matches_workspace_policy() {
-        let cfg = Config::default();
-        for c in ["sim", "obs", "engine", "rost", "cer", "overlay"] {
+    fn checked_in_policy_matches_workspace_policy() {
+        let cfg = Config::parse(include_str!("../../../lint.toml")).unwrap();
+        for c in ["sim", "obs", "engine", "rost", "cer", "overlay", "chaos"] {
             assert!(cfg.rule_applies(Rule::UnorderedCollections, c));
         }
         assert!(!cfg.rule_applies(Rule::UnorderedCollections, "net"));
-        for c in ["rost", "cer", "wire"] {
+        for c in ["rost", "cer"] {
             assert!(cfg.rule_applies(Rule::PanicSites, c));
         }
         assert!(!cfg.rule_applies(Rule::PanicSites, "engine"));
@@ -289,7 +245,7 @@ crates = ["rost"]
         for c in ["sim", "engine", "rost", "cer", "chaos", "overlay"] {
             assert!(cfg.rule_applies(Rule::SendHostileState, c));
         }
-        assert!(!cfg.rule_applies(Rule::SendHostileState, "wire"));
+        assert!(!cfg.rule_applies(Rule::SendHostileState, "net"));
         assert!(!cfg.rule_applies(Rule::RngForkDiscipline, "sim"));
         assert!(!cfg.rule_applies(Rule::RngForkDiscipline, "bench"));
         assert!(cfg.rule_applies(Rule::RngForkDiscipline, "engine"));
