@@ -163,11 +163,11 @@ fn run_wall(seed: u64, workload: Workload, ops: usize) {
     let mut recent: Vec<f64> = Vec::new();
     let (mut pushes, mut ties, mut pops, mut clears, mut boundary) = (0u64, 0u64, 0u64, 0u64, 0u64);
 
-    let mut push_both = |new_q: &mut EventQueue<u64>,
-                         old_q: &mut old_model::HeapQueue<u64>,
-                         recent: &mut Vec<f64>,
-                         t: f64,
-                         payload: &mut u64| {
+    let push_both = |new_q: &mut EventQueue<u64>,
+                     old_q: &mut old_model::HeapQueue<u64>,
+                     recent: &mut Vec<f64>,
+                     t: f64,
+                     payload: &mut u64| {
         let time = SimTime::from_secs(t);
         new_q.push(time, *payload);
         old_q.push(time, *payload);
