@@ -161,6 +161,21 @@ struct MemberStream {
     /// The pathology episode armed on the member's access link, if any;
     /// it departs with the member.
     episode: Option<Box<LinkEpisode>>,
+    /// Losses of an episode that ended while the member was detached,
+    /// waiting for it to reattach; they depart with the member, as an
+    /// open outage does.
+    held: Option<Box<HeldLosses>>,
+}
+
+/// A link episode's classified losses, on their way to repair.
+#[derive(Debug)]
+struct HeldLosses {
+    /// The ended episode, whose pathology the repair traffic crosses.
+    episode: Box<LinkEpisode>,
+    /// Data frames the episode classified.
+    frames: u64,
+    /// Sequence numbers of the lost frames, ascending.
+    lost: Vec<u64>,
 }
 
 /// The streaming layer state, driven by hooks from the churn simulator.
@@ -261,8 +276,9 @@ impl StreamingState {
         }
     }
 
-    /// The subtree rooted at `orphan` is attached again: close the outage
-    /// of every member in it and run recovery for the missed range.
+    /// The subtree rooted at `orphan` is attached again: repair the held
+    /// link losses of every member in it, then close its outage and run
+    /// recovery for the missed range.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_restore(
         &mut self,
@@ -277,23 +293,34 @@ impl StreamingState {
         let mut subtree = vec![orphan];
         tree.descendants_into(orphan, &mut subtree);
         for member in subtree {
-            let Some(t0) = self
-                .members
-                .get_mut(&member)
-                .and_then(|s| s.outage_since.take())
-            else {
+            let Some(stream) = self.members.get_mut(&member) else {
                 continue;
             };
-            self.repair_outage(
-                tree,
-                oracle,
-                live,
-                member,
-                t0,
-                now,
-                obs,
-                invariants.as_deref_mut(),
-            );
+            let outage = stream.outage_since.take();
+            if let Some(held) = stream.held.take() {
+                self.repair_link_losses(
+                    tree,
+                    oracle,
+                    live,
+                    member,
+                    *held,
+                    now,
+                    obs,
+                    invariants.as_deref_mut(),
+                );
+            }
+            if let Some(t0) = outage {
+                self.repair_outage(
+                    tree,
+                    oracle,
+                    live,
+                    member,
+                    t0,
+                    now,
+                    obs,
+                    invariants.as_deref_mut(),
+                );
+            }
         }
     }
 
@@ -324,11 +351,13 @@ impl StreamingState {
         stream.episode = Some(Box::new(episode));
     }
 
-    /// An armed episode ran its course: classify every data packet that
-    /// crossed the member's access link through the episode's loss chain,
-    /// repair the lost ones from the member's recovery group (the repair
-    /// traffic still experiences the episode's capacity/spike pathology),
-    /// then disarm the episode.
+    /// An armed episode ran its course: disarm it, classify every data
+    /// packet that crossed the member's access link through the episode's
+    /// loss chain, and repair the lost ones from the member's recovery
+    /// group (the repair traffic still experiences the episode's
+    /// capacity/spike pathology). A detached member has no recovery group
+    /// to ask, so its losses are held until [`Self::on_restore`]
+    /// reattaches it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_link_episode_end(
         &mut self,
@@ -343,12 +372,12 @@ impl StreamingState {
         let Some(stream) = self.members.get_mut(&member) else {
             return; // the member departed, and its episode with it
         };
-        let Some(ep) = stream.episode.as_deref_mut() else {
-            return; // a newer episode already ended
+        // No episode: a newer one already ended. One ending later: this
+        // is a stale end event, and the newer episode replaced this one.
+        let Some(mut episode) = stream.episode.take_if(|ep| ep.end <= now) else {
+            return;
         };
-        if ep.end > now {
-            return; // stale end event: a newer episode replaced this one
-        }
+        let ep = &mut *episode;
         // Only packets the member actually streamed cross its link: clamp
         // the episode to the member's view, and stop at an open outage
         // (the outage repair accounts for everything after it).
@@ -376,41 +405,68 @@ impl StreamingState {
             obs.count("chaos.link_frames", s1 - s0);
             obs.count("chaos.link_lost", lost.len() as u64);
         }
-        if !lost.is_empty() {
-            let _span = tree.prof().span("cer.link_repair");
-            let gap = lost.len() as u64;
-            let (repaired, starved, _) = self.repair(
-                tree,
-                oracle,
-                live,
-                member,
-                lost.into_iter(),
-                gap,
-                RepairTiming::PerPacket,
-                now,
-                obs,
-                invariants,
-            );
-            if obs.is_active() {
-                obs.count("cer.link_repairs", 1);
-                obs.count("cer.packets_repaired", repaired);
-                obs.count("cer.packets_starved", starved);
-                if obs.enabled(Subsystem::Chaos, Level::Info) {
-                    obs.emit(
-                        TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode_end")
-                            .u64("member", member.0)
-                            .u64("frames", s1 - s0)
-                            .u64("lost", gap)
-                            .u64("repaired", repaired)
-                            .u64("starved", starved),
-                    );
-                }
+        if lost.is_empty() {
+            return;
+        }
+        let held = HeldLosses {
+            episode,
+            frames: s1 - s0,
+            lost,
+        };
+        if tree.is_attached(member) {
+            self.repair_link_losses(tree, oracle, live, member, held, now, obs, invariants);
+        } else {
+            // Episodes arm only on attached members and reattaching
+            // repairs what is held, so nothing is held yet.
+            debug_assert!(stream.held.is_none(), "{member} already holds losses");
+            stream.held = Some(Box::new(held));
+        }
+    }
+
+    /// Repairs one ended episode's lost frames through the one repair
+    /// body, each requested when its loss is detected.
+    #[allow(clippy::too_many_arguments)]
+    fn repair_link_losses(
+        &mut self,
+        tree: &MulticastTree,
+        oracle: &DelayOracle,
+        live: &[NodeId],
+        member: NodeId,
+        mut held: HeldLosses,
+        now: SimTime,
+        obs: &mut Obs,
+        invariants: Option<&mut InvariantRegistry>,
+    ) {
+        let _span = tree.prof().span("cer.link_repair");
+        let gap = held.lost.len() as u64;
+        let (repaired, starved, _) = self.repair(
+            tree,
+            oracle,
+            live,
+            member,
+            held.lost.into_iter(),
+            gap,
+            RepairTiming::PerPacket,
+            Some(&mut *held.episode),
+            now,
+            obs,
+            invariants,
+        );
+        if obs.is_active() {
+            obs.count("cer.link_repairs", 1);
+            obs.count("cer.packets_repaired", repaired);
+            obs.count("cer.packets_starved", starved);
+            if obs.enabled(Subsystem::Chaos, Level::Info) {
+                obs.emit(
+                    TraceEvent::new(now.as_secs(), Subsystem::Chaos, "link_episode_end")
+                        .u64("member", member.0)
+                        .u64("frames", held.frames)
+                        .u64("lost", gap)
+                        .u64("repaired", repaired)
+                        .u64("starved", starved),
+                );
             }
         }
-        self.members
-            .get_mut(&member)
-            .expect("the episode's member is streaming")
-            .episode = None;
     }
 
     /// Finalizes ratios of members still alive at the end of the run.
@@ -516,11 +572,11 @@ impl StreamingState {
 
     /// The one repair body behind outage and link-episode repairs: select
     /// `member`'s recovery group, signal it to the invariants, serve the
-    /// missing `seqs` from the group's available helpers, book the outcome
-    /// when `now` lies in the measurement window, and fold the starved
-    /// packets and new holes into the member's stream. Returns
-    /// `(repaired, starved, helpers)`, where `helpers` counts the group
-    /// members able to serve.
+    /// missing `seqs` from the group's available helpers across the
+    /// `episode` on the member's link, book the outcome when `now` lies
+    /// in the measurement window, and fold the starved packets and new
+    /// holes into the member's stream. Returns `(repaired, starved,
+    /// helpers)`, where `helpers` counts the group members able to serve.
     #[allow(clippy::too_many_arguments)]
     fn repair(
         &mut self,
@@ -531,6 +587,7 @@ impl StreamingState {
         seqs: impl Iterator<Item = u64>,
         gap: u64,
         timing: RepairTiming,
+        episode: Option<&mut LinkEpisode>,
         now: SimTime,
         obs: &mut Obs,
         invariants: Option<&mut InvariantRegistry>,
@@ -548,22 +605,8 @@ impl StreamingState {
             );
         }
         let available = self.available_helpers(tree, &group);
-        let mut episode = self
-            .members
-            .get_mut(&member)
-            .expect("repairing member exists")
-            .episode
-            .take();
         let (on_time, starved, new_holes) = self.serve_repairs(
-            tree,
-            member,
-            &available,
-            seqs,
-            gap,
-            timing,
-            episode.as_deref_mut(),
-            now,
-            obs,
+            tree, member, &available, seqs, gap, timing, episode, now, obs,
         );
         if now >= self.window_start && now <= self.window_end {
             self.starved += starved;
@@ -573,7 +616,6 @@ impl StreamingState {
             .members
             .get_mut(&member)
             .expect("repairing member exists");
-        stream.episode = episode;
         stream.starved_packets += starved;
         for seq in new_holes {
             stream.holes.insert(seq);
@@ -738,6 +780,7 @@ impl StreamingState {
         if now >= self.window_start && now <= self.window_end {
             self.outages += 1;
         }
+        let mut episode = self.members.get_mut(&member).and_then(|s| s.episode.take());
         let (repaired, starved, helpers) = self.repair(
             tree,
             oracle,
@@ -746,10 +789,14 @@ impl StreamingState {
             s0..s1,
             s1 - s0,
             RepairTiming::Batch(t0 + self.loss_detection_secs),
+            episode.as_deref_mut(),
             now,
             obs,
             invariants,
         );
+        if let Some(stream) = self.members.get_mut(&member) {
+            stream.episode = episode;
+        }
         if obs.is_active() {
             obs.count("cer.repairs", 1);
             obs.count("cer.packets_repaired", repaired);

@@ -5,7 +5,7 @@
 //! byte-identical across repeated runs, and (c) the chaos RNG stream is
 //! isolated — arming a do-nothing scenario does not perturb the run.
 
-use rom::chaos::{InvariantRegistry, Scenario};
+use rom::chaos::{ChaosAction, Injection, InvariantRegistry, Scenario};
 use rom::engine::{AlgorithmKind, ChurnConfig, StreamingConfig, StreamingSim};
 use rom::obs::{JsonlSink, Obs, SharedBuffer, Tracer};
 
@@ -106,4 +106,53 @@ fn injected_scenarios_actually_perturb_the_run() {
             "scenario `{scenario}` left no mark on the trace"
         );
     }
+}
+
+/// A lossy link episode that ends while its member is cut off: every
+/// member carries a bursty-loss episode ending at t=300, and clustered
+/// failures just before it leave whole subtrees in an open outage (they
+/// rejoin 15 s later). No recovery group may be chosen for a detached
+/// member; the episode's losses are repaired once the member reattaches.
+#[test]
+fn link_episode_ending_inside_an_outage_is_repaired_on_reattach() {
+    let episode_end = 300.0;
+    let mut injections = vec![Injection {
+        at_secs: 200.0,
+        action: ChaosAction::BurstyLoss {
+            fraction: 1.0,
+            avg_loss: 0.1,
+            burst_factor: 2.0,
+            duration_secs: episode_end - 200.0,
+        },
+    }];
+    for at_secs in [294.0, 296.0, 298.0] {
+        injections.push(Injection {
+            at_secs,
+            action: ChaosAction::CorrelatedFailure { radius: 1 },
+        });
+    }
+    let mut cfg = config(None, 11);
+    cfg.churn.chaos = Some(Scenario {
+        name: "episode-end-in-outage",
+        injections,
+    });
+    let buffer = SharedBuffer::new();
+    let obs = Obs::new(Tracer::to_sink(Box::new(JsonlSink::new(buffer.clone()))));
+    let (_report, registry, _obs) =
+        StreamingSim::new(cfg).run_checked(InvariantRegistry::with_all(), obs);
+    assert!(
+        registry.is_clean(),
+        "an episode end inside an outage tripped: {:#?}",
+        registry.violations()
+    );
+    let trace = String::from_utf8(buffer.contents()).expect("JSONL trace is UTF-8");
+    let reattach_repairs = trace
+        .lines()
+        .filter(|line| line.contains("\"kind\":\"link_episode_end\""))
+        .filter(|line| !line.starts_with(&format!("{{\"t\":{episode_end},")))
+        .count();
+    assert!(
+        reattach_repairs > 0,
+        "no episode ended inside an outage, so the case went untested"
+    );
 }
