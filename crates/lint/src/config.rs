@@ -228,7 +228,7 @@ crates = ["rost"]
 
     #[test]
     fn checked_in_policy_matches_workspace_policy() {
-        let cfg = Config::parse(include_str!("../../../lint.toml")).unwrap();
+        let cfg = Config::parse(include_str!("../../../lint.toml")).expect("lint.toml parses");
         for c in ["sim", "obs", "engine", "rost", "cer", "overlay", "chaos"] {
             assert!(cfg.rule_applies(Rule::UnorderedCollections, c));
         }
