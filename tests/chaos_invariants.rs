@@ -24,13 +24,18 @@ fn config(scenario: Option<&str>, seed: u64) -> StreamingConfig {
     StreamingConfig::paper(churn, 2)
 }
 
+/// One fully-armed run of a catalogue scenario.
+fn checked_run(scenario: &str, seed: u64) -> (Vec<u8>, InvariantRegistry) {
+    checked(config(Some(scenario), seed))
+}
+
 /// One fully-armed run: the JSONL trace bytes and the registry with
 /// whatever violations it accumulated.
-fn checked_run(scenario: &str, seed: u64) -> (Vec<u8>, InvariantRegistry) {
+fn checked(cfg: StreamingConfig) -> (Vec<u8>, InvariantRegistry) {
     let buffer = SharedBuffer::new();
     let obs = Obs::new(Tracer::to_sink(Box::new(JsonlSink::new(buffer.clone()))));
     let (_report, registry, _obs) =
-        StreamingSim::new(config(Some(scenario), seed)).run_checked(InvariantRegistry::with_all(), obs);
+        StreamingSim::new(cfg).run_checked(InvariantRegistry::with_all(), obs);
     (buffer.contents(), registry)
 }
 
@@ -136,16 +141,13 @@ fn link_episode_ending_inside_an_outage_is_repaired_on_reattach() {
         name: "episode-end-in-outage",
         injections,
     });
-    let buffer = SharedBuffer::new();
-    let obs = Obs::new(Tracer::to_sink(Box::new(JsonlSink::new(buffer.clone()))));
-    let (_report, registry, _obs) =
-        StreamingSim::new(cfg).run_checked(InvariantRegistry::with_all(), obs);
+    let (trace, registry) = checked(cfg);
     assert!(
         registry.is_clean(),
         "an episode end inside an outage tripped: {:#?}",
         registry.violations()
     );
-    let trace = String::from_utf8(buffer.contents()).expect("JSONL trace is UTF-8");
+    let trace = String::from_utf8(trace).expect("JSONL trace is UTF-8");
     let reattach_repairs = trace
         .lines()
         .filter(|line| line.contains("\"kind\":\"link_episode_end\""))
